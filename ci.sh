@@ -14,10 +14,6 @@ cargo clippy --all-targets --offline -- -D warnings
 # frodo-obs must stay dependency-free: its cargo tree is exactly one line
 test "$(cargo tree -p frodo-obs --offline --edges normal | wc -l)" -eq 1
 
-# the analysis hot-path bench must at least execute (1 quick pass per
-# subject; real measurements are BENCH_pr3.json/BENCH_pr8.json)
-cargo bench -q -p frodo-bench --bench hotpath --offline -- --quick >/dev/null
-
 # a traced compile of a Table-1 model emits parseable NDJSON covering
 # every pipeline stage; --threads 1 pins the determinism-contract
 # reference path (sequential engines, sequential emitter); --verify
@@ -194,6 +190,7 @@ rm -rf "$simd_dir"
 # window-reuse gate: the delta-update rewrite must cut arch-independent
 # FLOPs on the convolution-heavy benchmarks (ablation study 7, columns:
 # model, rewritten, FLOPs scalar, FLOPs reuse, est. before, est. after)
+cargo build -q --release --offline -p frodo-bench --bin ablation
 ablation_out="$(mktemp)"
 ./target/release/ablation > "$ablation_out"
 for model in AudioProcess HighPass; do

@@ -29,52 +29,12 @@
 use crate::algorithm1::{full_range_of, port_range, EngineCtx};
 use crate::{Analysis, IoMappings, OptimizationReport, RangeOptions, Ranges};
 use frodo_graph::{partition_regions, Dfg, RegionPartition};
+use frodo_model::digest::Fnv128;
 use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort};
 use frodo_obs::Trace;
 use frodo_ranges::IndexSet;
 use std::collections::{BTreeMap, HashMap};
-
-/// 128-bit FNV-1a, used for every region digest. Wide enough that a
-/// silent collision (which would replay wrong ranges) is not a practical
-/// concern, cheap enough to run over every block of every submission.
-#[derive(Debug, Clone, Copy)]
-struct Fnv128(u128);
-
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-
-    fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write(&(v as u64).to_le_bytes());
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_ranges(&mut self, set: &IndexSet) {
-        self.write_usize(set.intervals().len());
-        for iv in set.intervals() {
-            self.write_usize(iv.start);
-            self.write_usize(iv.end);
-        }
-    }
-
-    fn finish(self) -> u128 {
-        self.0
-    }
-}
+use std::fmt::Write as _;
 
 /// A caller-owned cache of per-region range results, keyed by the region's
 /// combined content ⊕ demand ⊕ options digest. Owned by a compile session
@@ -165,15 +125,15 @@ fn block_digest(dfg: &Dfg, id: BlockId) -> u128 {
     let mut h = Fnv128::new();
     h.write_usize(id.index());
     h.write(block.name.as_bytes());
-    h.write(format!("{:?}", block.kind).as_bytes());
+    let _ = write!(h, "{:?}", block.kind);
     for p in 0..block.kind.num_inputs() {
         let src = dfg.source_of(InPort::new(id, p));
         h.write_usize(src.block.index());
         h.write_usize(src.port);
-        h.write(format!("{:?}", dfg.shapes().input(id, p)).as_bytes());
+        let _ = write!(h, "{:?}", dfg.shapes().input(id, p));
     }
     for o in 0..block.kind.num_outputs() {
-        h.write(format!("{:?}", dfg.shapes().output(id, o)).as_bytes());
+        let _ = write!(h, "{:?}", dfg.shapes().output(id, o));
     }
     h.finish()
 }
@@ -223,7 +183,7 @@ fn demand_digest(
                         h.write_usize(c.port);
                         for o2 in 0..k.num_outputs() {
                             let p2 = OutPort::new(c.block, o2);
-                            h.write(format!("{:?}", maps.map(c.block, o2, c.port)).as_bytes());
+                            let _ = write!(h, "{:?}", maps.map(c.block, o2, c.port));
                             match ranges.get(&p2) {
                                 Some(r) => h.write_ranges(r),
                                 // mirrors the conservative full-range
@@ -246,8 +206,8 @@ fn demand_digest(
 /// computation), while re-running Algorithm 1 only on regions missing
 /// from `cache`.
 ///
-/// Recorded on `trace`: the standard `flatten`/`dfg`/`iomap`/`ranges`/
-/// `classify` spans, with `region_total`, `region_hits`, `region_misses`,
+/// Recorded on `trace`: the standard `dfg`/`iomap`/`ranges`/`classify`
+/// spans (plus `flatten` for a model with subsystems), with `region_total`, `region_hits`, `region_misses`,
 /// and `region_dirty_blocks` counters added to the `ranges` span.
 ///
 /// `region_max` bounds region size in blocks (`0` = one region per
@@ -600,7 +560,7 @@ mod tests {
         );
         assert!(trace.counter_total("region_dirty_blocks") >= 5);
         let snap = trace.snapshot();
-        for stage in ["flatten", "dfg", "iomap", "ranges", "classify"] {
+        for stage in ["dfg", "iomap", "ranges", "classify"] {
             assert!(
                 snap.spans.iter().any(|s| s.name == stage),
                 "missing {stage} span"

@@ -61,8 +61,9 @@ impl Analysis {
     }
 
     /// The canonical pipeline entry: runs model analysis and redundancy
-    /// elimination, recording every stage on `trace` — `flatten` and `dfg`
-    /// spans from graph construction, then `iomap`, `ranges` (Algorithm 1),
+    /// elimination, recording every stage on `trace` — `flatten` (only for
+    /// a model that still has subsystems) and `dfg` spans from graph
+    /// construction, then `iomap`, `ranges` (Algorithm 1),
     /// and `classify` spans with redundancy counters (`blocks_analyzed`,
     /// `blocks_optimizable`, `elements_total`, `elements_eliminated`).
     ///
@@ -215,12 +216,14 @@ mod tests {
         let trace = Trace::new();
         let a = Analysis::run_traced(figure1(), RangeOptions::default(), &trace).unwrap();
         let snap = trace.snapshot();
-        for stage in ["flatten", "dfg", "iomap", "ranges", "classify"] {
+        for stage in ["dfg", "iomap", "ranges", "classify"] {
             assert!(
                 snap.spans.iter().any(|s| s.name == stage),
                 "missing {stage} span"
             );
         }
+        // figure 1 has no subsystem: there is nothing to flatten
+        assert!(!snap.spans.iter().any(|s| s.name == "flatten"));
         assert_eq!(trace.counter_total("blocks_analyzed"), 5);
         assert_eq!(trace.counter_total("blocks_optimizable"), 1);
         // hot-path instrumentation: every run derives at least one mapping

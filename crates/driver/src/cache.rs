@@ -1,8 +1,8 @@
 //! The content-addressed artifact cache.
 //!
-//! Keys are [`ContentDigest`](frodo_slx::fnv::ContentDigest)s of the
+//! Keys are [`ContentDigest`](frodo_model::digest::ContentDigest)s of the
 //! flattened model plus every option that affects the generated C (style,
-//! range engine, dead-end elimination, coalescing gap, emission options).
+//! dead-end elimination, coalescing gap, emission options).
 //! Two layers:
 //!
 //! - an **in-memory** map, always on, which also retains the lowered

@@ -10,8 +10,8 @@
 //!   a poisoned job becomes a [`JobError`] in its result slot, the rest of
 //!   the batch completes.
 //! - **Content-addressed caching** — every artifact is keyed by a digest
-//!   ([`frodo_slx::fnv`]) of the *flattened* model plus every option that
-//!   affects the generated C. Resubmitting an unchanged model skips
+//!   ([`frodo_model::digest`]) of the *flattened* model plus every option
+//!   that affects the generated C. Resubmitting an unchanged model skips
 //!   analysis and emission entirely; an optional on-disk layer persists
 //!   artifacts across processes. Hit/miss counters are exposed via
 //!   [`CompileService::cache_stats`].
@@ -72,10 +72,11 @@ use cache::{ArtifactCache, CachedArtifact};
 use frodo_codegen::lir::Program;
 use frodo_codegen::{emit_c_traced, generate_with, CEmitOptions, GeneratorStyle, LowerOptions};
 use frodo_core::{Analysis, RangeOptions};
+use frodo_model::digest::{ContentDigest, Fnv128};
 use frodo_model::Model;
 use frodo_obs::Trace;
-use frodo_slx::fnv::{ContentDigest, DigestWriter};
-use frodo_slx::{read_mdl, read_slx, write_mdl};
+use frodo_slx::{read_mdl, read_slx};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -85,7 +86,9 @@ use std::time::Instant;
 /// byte-identical code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyedOptions {
-    /// Range-determination options (engine, dead-end elimination).
+    /// Range-determination options. Only dead-end elimination is keyed:
+    /// `engine` and `threads` are left out of every key because all
+    /// engines give identical output.
     pub range: RangeOptions,
     /// Lowering options (run coalescing).
     pub lower: LowerOptions,
@@ -636,7 +639,7 @@ impl CompileService {
             let _s = jt.span("hash");
             cache_key(&flat, style, &options.keyed)
         };
-        let hex = digest.to_hex();
+        let hex = digest.to_string();
 
         if !self.config.no_cache {
             let lookup = {
@@ -676,8 +679,8 @@ impl CompileService {
         }
 
         // analysis: dfg + iomap + Algorithm 1 + classification. The
-        // model is already flat, so the inner flatten span is a no-op
-        // pass recorded alongside the real one above.
+        // model is already flat, so graph construction does not flatten
+        // it again: the span above is the job's only `flatten`.
         let analysis = Analysis::run_traced(flat, range, &jt).map_err(|e| JobError::Analysis {
             job: name.clone(),
             message: e.to_string(),
@@ -785,8 +788,10 @@ fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
     }
 }
 
-/// The cache key: a content digest over the flattened model's canonical
-/// `.mdl` serialization, the generator style, and every keyed option.
+/// The cache key: an FNV-1a-128 fold of the flattened model — its name,
+/// every block (index, name, kind with parameters) and every connection,
+/// in list order — then the generator style and every keyed option except
+/// the range engine (the engines produce identical output).
 /// Taking [`KeyedOptions`] (not [`CompileOptions`]) makes it impossible
 /// for an execution-only knob to split the cache.
 pub(crate) fn cache_key(
@@ -794,23 +799,46 @@ pub(crate) fn cache_key(
     style: GeneratorStyle,
     options: &KeyedOptions,
 ) -> ContentDigest {
-    let mut digest = DigestWriter::new();
-    digest.update(write_mdl(flat).as_bytes());
-    digest.update(style.label().as_bytes());
-    digest.update(
-        format!(
-            ";engine={:?};dead_ends={};coalesce={};shared_conv={};vectorize={:?};window_reuse={};profile={}",
-            options.range.engine,
-            options.range.eliminate_dead_ends,
-            options.lower.coalesce_gap,
-            options.emit.shared_conv_helper,
-            options.emit.vectorize,
-            options.lower.window_reuse,
-            options.emit.profile
-        )
-        .as_bytes(),
+    let mut h = Fnv128::new();
+    // variable-length text is length-prefixed so adjacent fields cannot
+    // trade bytes; one buffer serves every block's kind
+    let mut text = String::new();
+    let field = |h: &mut Fnv128, text: &str| {
+        h.write_usize(text.len());
+        h.write(text.as_bytes());
+    };
+    field(&mut h, flat.name());
+    h.write_usize(flat.len());
+    for (id, block) in flat.iter() {
+        h.write_usize(id.index());
+        field(&mut h, &block.name);
+        text.clear();
+        let _ = write!(text, "{:?}", block.kind);
+        field(&mut h, &text);
+    }
+    h.write_usize(flat.connections().len());
+    for c in flat.connections() {
+        for v in [
+            c.from.block.index(),
+            c.from.port,
+            c.to.block.index(),
+            c.to.port,
+        ] {
+            h.write_usize(v);
+        }
+    }
+    field(&mut h, style.label());
+    let _ = write!(
+        h,
+        ";dead_ends={};coalesce={};shared_conv={};vectorize={:?};window_reuse={};profile={}",
+        options.range.eliminate_dead_ends,
+        options.lower.coalesce_gap,
+        options.emit.shared_conv_helper,
+        options.emit.vectorize,
+        options.lower.window_reuse,
+        options.emit.profile
     );
-    digest.finish()
+    ContentDigest(h.finish())
 }
 
 #[cfg(test)]
@@ -837,18 +865,46 @@ mod tests {
 
     #[test]
     fn cache_key_separates_content_style_and_options() {
-        let base = gain_model(2.0)
-            .flattened(&frodo_obs::Trace::noop())
-            .unwrap();
+        let base = gain_model(2.0);
         let opts = KeyedOptions::default();
         let k0 = cache_key(&base, GeneratorStyle::Frodo, &opts);
-        // same content, same key
+        // same content, same key; 128 bits render as 32 hex characters
         assert_eq!(k0, cache_key(&base, GeneratorStyle::Frodo, &opts));
-        // different model content
-        let other = gain_model(3.0)
-            .flattened(&frodo_obs::Trace::noop())
-            .unwrap();
-        assert_ne!(k0, cache_key(&other, GeneratorStyle::Frodo, &opts));
+        assert_eq!(k0.to_string().len(), 32);
+        // every part of the model's content separates keys: the model
+        // name, a block name, a parameter, a connection endpoint, and the
+        // order of the connection list
+        let key_of = |m: &Model| cache_key(m, GeneratorStyle::Frodo, &opts);
+        // gain_model's blocks plus a terminator, wired by block index
+        let build = |name: &str, wires: &[(usize, usize)]| {
+            let mut m = Model::new(name);
+            for b in base.blocks() {
+                m.add(b.clone());
+            }
+            m.add(Block::new("t", BlockKind::Terminator));
+            for &(src, dst) in wires {
+                let id = frodo_model::BlockId::from_index;
+                m.connect(id(src), 0, id(dst), 0).unwrap();
+            }
+            m
+        };
+        let wires = [(0, 1), (1, 2), (0, 3)];
+        let k1 = key_of(&build("g", &wires));
+        assert_ne!(k1, key_of(&build("h", &wires)), "model name");
+        let mut renamed = build("g", &wires);
+        renamed.block_mut(frodo_model::BlockId::from_index(1)).name = "g2".into();
+        assert_ne!(k1, key_of(&renamed), "block name");
+        assert_ne!(k0, key_of(&gain_model(3.0)), "parameter");
+        assert_ne!(
+            k1,
+            key_of(&build("g", &[(0, 1), (1, 2), (1, 3)])),
+            "endpoint"
+        );
+        assert_ne!(
+            k1,
+            key_of(&build("g", &[(1, 2), (0, 1), (0, 3)])),
+            "connection order"
+        );
         // different style
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Hcg, &opts));
         // different lowering option
@@ -871,6 +927,15 @@ mod tests {
         let mut prof = opts;
         prof.emit.profile = true;
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &prof));
+        // the range engines produce identical output, so they share a key
+        for engine in [
+            frodo_core::RangeEngine::Iterative,
+            frodo_core::RangeEngine::Parallel,
+        ] {
+            let mut other = opts;
+            other.range.engine = engine;
+            assert_eq!(k0, cache_key(&base, GeneratorStyle::Frodo, &other));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::cache::{CacheStats, CacheStatus};
 use crate::{JobError, JobOutput};
 use frodo_codegen::GeneratorStyle;
 use frodo_core::Analysis;
-use frodo_slx::fnv::ContentDigest;
+use frodo_model::digest::ContentDigest;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -104,36 +104,30 @@ impl BatchReport {
     }
 
     /// The human-readable batch table: one row per job with cache status,
-    /// counters, and per-stage timings, plus a summary line.
+    /// counters, and a column per pipeline stage (from [`STAGE_NAMES`], so
+    /// no stage is hidden and `total` is the sum of the row), plus a
+    /// summary line.
+    ///
+    /// [`STAGE_NAMES`]: frodo_obs::STAGE_NAMES
     pub fn render_table(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "{:<14} {:<9} {:<6} {:>6} {:>5} {:>13} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
-            "job",
-            "style",
-            "cache",
-            "blocks",
-            "opt",
-            "elim/total",
-            "parse",
-            "flatten",
-            "dfg",
-            "iomap",
-            "alg1",
-            "lower",
-            "emit",
-            "total",
-            "code"
+            "{:<14} {:<9} {:<6} {:>6} {:>5} {:>13}",
+            "job", "style", "cache", "blocks", "opt", "elim/total"
         );
+        for name in frodo_obs::STAGE_NAMES {
+            let _ = write!(out, " {name:>8}");
+        }
+        let _ = writeln!(out, " {:>8} {:>9}", "total", "code");
         for job in &self.jobs {
             match job {
                 Ok(o) => {
                     let r = &o.report;
                     let t = &r.timings;
-                    let _ = writeln!(
+                    let _ = write!(
                         out,
-                        "{:<14} {:<9} {:<6} {:>6} {:>5} {:>13} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}B",
+                        "{:<14} {:<9} {:<6} {:>6} {:>5} {:>13}",
                         r.job,
                         r.style.label(),
                         r.cache.label(),
@@ -143,16 +137,11 @@ impl BatchReport {
                             "{}/{}",
                             r.metrics.eliminated_elements, r.metrics.total_elements
                         ),
-                        fmt_duration(t.parse),
-                        fmt_duration(t.flatten),
-                        fmt_duration(t.dfg),
-                        fmt_duration(t.iomap),
-                        fmt_duration(t.algorithm1()),
-                        fmt_duration(t.lower),
-                        fmt_duration(t.emit),
-                        fmt_duration(t.total()),
-                        r.code_bytes
                     );
+                    for (_, d) in t.rows() {
+                        let _ = write!(out, " {:>8}", fmt_duration(d));
+                    }
+                    let _ = writeln!(out, " {:>8} {:>8}B", fmt_duration(t.total()), r.code_bytes);
                 }
                 Err(e) => {
                     let _ = writeln!(out, "{:<14} ERROR  {e}", e.job());

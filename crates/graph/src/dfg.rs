@@ -1,7 +1,9 @@
 //! The analyzed dataflow graph.
 
 use crate::{analysis_levels, topo_levels, toposort};
-use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort, ShapeTable};
+use frodo_model::{
+    proplib, BlockId, BlockKind, InPort, Model, ModelError, OutPort, ShapeTable, SourceIndex,
+};
 
 /// A flattened model together with its inferred shapes and adjacency
 /// structure — the artifact FRODO's *model analysis* stage hands to
@@ -15,6 +17,9 @@ pub struct Dfg {
     shapes: ShapeTable,
     children: Vec<Vec<BlockId>>,
     parents: Vec<Vec<BlockId>>,
+    /// Producer of every input port — the index that makes
+    /// [`Dfg::source_of`] an O(1) lookup instead of a connection scan.
+    sources: SourceIndex,
     /// Offset of each block's first output port in the dense port index
     /// space (prefix sums of `num_outputs`); the final entry is the total.
     port_offsets: Vec<usize>,
@@ -26,27 +31,31 @@ pub struct Dfg {
 
 impl Dfg {
     /// Analyzes a model: flatten, validate, infer shapes, build adjacency.
-    /// Recorded on the given trace: a `flatten` span for subsystem
-    /// flattening and a `dfg` span (with nested `validate` and
-    /// `shape_infer` child spans and block/connection counters) for graph
-    /// construction proper. Pass `&Trace::noop()` when no instrumentation
-    /// is wanted.
+    /// Recorded on the given trace: a `flatten` span when the model still
+    /// contains a subsystem (an already-flat model is used as is), and a
+    /// `dfg` span (with nested `validate` and `shape_infer` child spans
+    /// and block/connection counters) for graph construction proper. Pass
+    /// `&Trace::noop()` when no instrumentation is wanted.
     ///
     /// # Errors
     ///
     /// Propagates any [`ModelError`] from flattening, validation, or shape
     /// inference.
     pub fn new(model: Model, trace: &frodo_obs::Trace) -> Result<Self, ModelError> {
-        let flat = model.flattened(trace)?;
+        let flat = if model.is_flat() {
+            model
+        } else {
+            model.flattened(trace)?
+        };
         let span = trace.span("dfg");
         let inner = span.trace();
-        {
+        let sources = {
             let _v = inner.span("validate");
-            flat.validate()?;
-        }
+            flat.check_structure()?
+        };
         let shapes = {
             let _s = inner.span("shape_infer");
-            flat.infer_shapes()?
+            proplib::infer_shapes(&flat, &sources)?
         };
         let n = flat.len();
         let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
@@ -78,21 +87,10 @@ impl Dfg {
             shapes,
             children,
             parents,
+            sources,
             port_offsets,
             port_consumers,
         })
-    }
-
-    /// Deprecated alias of [`Dfg::new`], kept one release for callers of
-    /// the old split traced/untraced entry points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`ModelError`] from flattening, validation, or shape
-    /// inference.
-    #[deprecated(since = "0.7.0", note = "use `Dfg::new(model, trace)` instead")]
-    pub fn new_traced(model: Model, trace: &frodo_obs::Trace) -> Result<Self, ModelError> {
-        Dfg::new(model, trace)
     }
 
     /// The flattened model.
@@ -150,7 +148,7 @@ impl Dfg {
     /// Panics if the port does not exist — validation guarantees every real
     /// input port is connected.
     pub fn source_of(&self, port: InPort) -> OutPort {
-        self.model
+        self.sources
             .source_of(port)
             .expect("validated models have fully connected inputs")
     }
@@ -252,15 +250,6 @@ mod tests {
         m.connect(g2, 0, add, 1).unwrap();
         m.connect(add, 0, o, 0).unwrap();
         (m, [i, g1, g2, add, o])
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_traced_shim_still_works() {
-        let (m, _) = diamond();
-        let via_shim = Dfg::new_traced(m.clone(), &frodo_obs::Trace::noop()).unwrap();
-        let direct = Dfg::new(m, &frodo_obs::Trace::noop()).unwrap();
-        assert_eq!(via_shim.model(), direct.model());
     }
 
     #[test]

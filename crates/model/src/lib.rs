@@ -42,8 +42,10 @@
 #![warn(missing_docs)]
 
 mod block;
+pub mod digest;
 mod error;
 mod flatten;
+mod index;
 mod port;
 pub mod proplib;
 mod system;
@@ -52,6 +54,7 @@ mod validate;
 
 pub use block::{Block, BlockKind, LogicOp, RelOp, RoundMode, SelectorMode};
 pub use error::ModelError;
+pub use index::SourceIndex;
 pub use port::{BlockId, InPort, OutPort};
 pub use system::{Connection, Model, ShapeTable};
 pub use tensor::Tensor;

@@ -11,7 +11,7 @@
 
 use crate::{
     Block, BlockId, BlockKind, InPort, LogicOp, Model, ModelError, OutPort, SelectorMode,
-    ShapeTable,
+    ShapeTable, SourceIndex,
 };
 use frodo_ranges::{PortMap, Shape};
 
@@ -460,7 +460,8 @@ pub fn io_map(
     }
 }
 
-/// Runs shape inference over a (flattened) model.
+/// Runs shape inference over a (flattened) model, reading each input's
+/// producer from `sources` (the index of this same model).
 ///
 /// Uses a worklist: a block's outputs are computed once all of its input
 /// shapes are known; source blocks seed the process.
@@ -470,13 +471,13 @@ pub fn io_map(
 /// Propagates shape-rule failures as [`ModelError::ShapeMismatch`] or
 /// [`ModelError::BadParameter`], reports unconnected inputs, and reports an
 /// [`ModelError::AlgebraicLoop`] when inference cannot complete.
-pub fn infer_shapes(model: &Model) -> Result<ShapeTable, ModelError> {
+pub fn infer_shapes(model: &Model, sources: &SourceIndex) -> Result<ShapeTable, ModelError> {
     let mut table = ShapeTable::new();
     // Pre-check connectivity so the fixpoint cannot stall on missing wires.
     for (id, block) in model.iter() {
         for p in 0..block.kind.num_inputs() {
             let port = InPort::new(id, p);
-            if model.source_of(port).is_none() {
+            if sources.source_of(port).is_none() {
                 return Err(ModelError::UnconnectedInput(port));
             }
         }
@@ -502,7 +503,9 @@ pub fn infer_shapes(model: &Model) -> Result<ShapeTable, ModelError> {
             let mut in_shapes = Vec::with_capacity(n_in);
             let mut ready = true;
             for p in 0..n_in {
-                let src = model.source_of(InPort::new(id, p)).expect("checked above");
+                let src = sources
+                    .source_of(InPort::new(id, p))
+                    .expect("checked above");
                 match table.try_output(src.block, src.port) {
                     Some(s) => in_shapes.push(s),
                     None => {

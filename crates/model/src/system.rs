@@ -217,7 +217,7 @@ impl Model {
     /// invalid, an input is unconnected, or an algebraic loop prevents
     /// inference from completing.
     pub fn infer_shapes(&self) -> Result<ShapeTable, ModelError> {
-        crate::proplib::infer_shapes(self)
+        crate::proplib::infer_shapes(self, &crate::SourceIndex::new(self))
     }
 
     /// Validates structural well-formedness (ports, connectivity, shapes).
@@ -227,6 +227,28 @@ impl Model {
     /// Returns the first problem found; see [`ModelError`].
     pub fn validate(&self) -> Result<(), ModelError> {
         crate::validate::validate(self)
+    }
+
+    /// The structural checks of [`Model::validate`] — connectivity, port
+    /// indices, subsystem consistency — without shape inference. Returns
+    /// the source index the connectivity check built, so a caller that
+    /// infers shapes next (see [`crate::proplib::infer_shapes`]) need not
+    /// index the connections again.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first problem found; see [`ModelError`].
+    pub fn check_structure(&self) -> Result<crate::SourceIndex, ModelError> {
+        crate::validate::check_structure(self)
+    }
+
+    /// Whether the model contains no [`BlockKind::Subsystem`] block, i.e.
+    /// [`Model::flattened`] would return it unchanged.
+    pub fn is_flat(&self) -> bool {
+        !self
+            .blocks
+            .iter()
+            .any(|b| matches!(b.kind, BlockKind::Subsystem(_)))
     }
 
     /// Returns a copy with every [`BlockKind::Subsystem`] flattened away,
@@ -242,17 +264,6 @@ impl Model {
         let flat = crate::flatten::flatten(self)?;
         span.count("blocks_flattened", flat.len() as u64);
         Ok(flat)
-    }
-
-    /// Deprecated alias of [`Model::flattened`], kept one release for
-    /// callers of the old split traced/untraced entry points.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a subsystem's port blocks are inconsistent.
-    #[deprecated(since = "0.7.0", note = "use `flattened(trace)` instead")]
-    pub fn flattened_traced(&self, trace: &frodo_obs::Trace) -> Result<Model, ModelError> {
-        self.flattened(trace)
     }
 
     #[allow(dead_code)]
@@ -353,18 +364,6 @@ mod tests {
         ));
         let b = m.add(Block::new("out", BlockKind::Outport { index: 0 }));
         (m, a, b)
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_traced_shim_still_works() {
-        let (mut m, a, b) = two_block_model();
-        m.connect(a, 0, b, 0).unwrap();
-        let noop = frodo_obs::Trace::noop();
-        assert_eq!(
-            m.flattened_traced(&noop).unwrap(),
-            m.flattened(&noop).unwrap()
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Structural model validation.
 
-use crate::{BlockKind, InPort, Model, ModelError};
+use crate::{BlockKind, Model, ModelError, SourceIndex};
 
 /// Validates a model's structural well-formedness:
 ///
@@ -13,19 +13,19 @@ use crate::{BlockKind, InPort, Model, ModelError};
 ///
 /// Returns the first violation found.
 pub fn validate(model: &Model) -> Result<(), ModelError> {
+    check_structure(model)?;
+
+    // (4) the whole model must type-check
+    model.flattened(&frodo_obs::Trace::noop())?.infer_shapes()?;
+    Ok(())
+}
+
+/// Checks (1)–(3) of [`validate`], returning the source index built for
+/// the connectivity check.
+pub(crate) fn check_structure(model: &Model) -> Result<SourceIndex, ModelError> {
     // (1) connectivity — duplicate inputs are rejected at connect() time for
     // builder-constructed models but can arrive via file formats.
-    for (id, block) in model.iter() {
-        for p in 0..block.kind.num_inputs() {
-            let port = InPort::new(id, p);
-            let n = model.connections().iter().filter(|c| c.to == port).count();
-            match n {
-                0 => return Err(ModelError::UnconnectedInput(port)),
-                1 => {}
-                _ => return Err(ModelError::DuplicateInput(port)),
-            }
-        }
-    }
+    let sources = SourceIndex::checked(model)?;
 
     // (2) port-block index contiguity
     check_port_indices(model)?;
@@ -43,10 +43,7 @@ pub fn validate(model: &Model) -> Result<(), ModelError> {
             })?;
         }
     }
-
-    // (4) the whole model must type-check
-    model.flattened(&frodo_obs::Trace::noop())?.infer_shapes()?;
-    Ok(())
+    Ok(sources)
 }
 
 fn check_port_indices(model: &Model) -> Result<(), ModelError> {
@@ -92,7 +89,7 @@ fn check_port_indices(model: &Model) -> Result<(), ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Block, Tensor};
+    use crate::{Block, InPort, Tensor};
     use frodo_ranges::Shape;
 
     #[test]
@@ -158,6 +155,80 @@ mod tests {
             m.validate(),
             Err(ModelError::ShapeMismatch { .. })
         ));
+    }
+
+    /// in0 -> add.0, in1 -> add.1, add -> out, with `extra` wires
+    /// appended unchecked (as no builder call would allow).
+    fn wired_add(extra: &[(usize, usize, usize)]) -> (Model, crate::BlockId) {
+        let mut m = Model::new("wired");
+        let a = m.add(Block::new(
+            "a",
+            BlockKind::Inport {
+                index: 0,
+                shape: Shape::Vector(4),
+            },
+        ));
+        let b = m.add(Block::new(
+            "b",
+            BlockKind::Inport {
+                index: 1,
+                shape: Shape::Vector(4),
+            },
+        ));
+        let add = m.add(Block::new("add", BlockKind::Add));
+        let o = m.add(Block::new("o", BlockKind::Outport { index: 0 }));
+        m.connect(a, 0, add, 0).unwrap();
+        m.connect(b, 0, add, 1).unwrap();
+        m.connect(add, 0, o, 0).unwrap();
+        for &(src, dst, port) in extra {
+            m.push_connection(crate::Connection {
+                from: crate::OutPort::new(crate::BlockId::from_index(src), 0),
+                to: InPort::new(crate::BlockId::from_index(dst), port),
+            });
+        }
+        (m, add)
+    }
+
+    #[test]
+    fn port_fed_twice_is_a_duplicate_input() {
+        let (m, add) = wired_add(&[(0, 2, 1)]);
+        assert_eq!(
+            m.validate(),
+            Err(ModelError::DuplicateInput(InPort::new(add, 1)))
+        );
+        // the first wire in connection order is the port's source
+        let sources = SourceIndex::new(&m);
+        assert_eq!(
+            sources.source_of(InPort::new(add, 1)),
+            m.source_of(InPort::new(add, 1))
+        );
+    }
+
+    #[test]
+    fn first_offending_port_wins_in_block_then_port_order() {
+        // add.1 is fed twice; the unconnected gain comes after it
+        let (mut m, add) = wired_add(&[(1, 2, 1)]);
+        let g = m.add(Block::new("g", BlockKind::Gain { gain: 1.0 }));
+        assert_eq!(
+            m.validate(),
+            Err(ModelError::DuplicateInput(InPort::new(add, 1)))
+        );
+        let (mut m, _) = wired_add(&[]);
+        m.add(Block::new("g", BlockKind::Gain { gain: 1.0 }));
+        assert_eq!(
+            m.validate(),
+            Err(ModelError::UnconnectedInput(InPort::new(g, 0)))
+        );
+    }
+
+    #[test]
+    fn wire_onto_a_missing_port_is_ignored_as_before() {
+        // the add has two inputs; a wire onto its third has no port to
+        // feed, so the connectivity check skips it and the index has no
+        // slot for it
+        let (m, add) = wired_add(&[(0, 2, 2)]);
+        assert_eq!(m.validate(), Ok(()));
+        assert_eq!(SourceIndex::new(&m).source_of(InPort::new(add, 2)), None);
     }
 
     #[test]

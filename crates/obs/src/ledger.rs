@@ -70,7 +70,7 @@ pub struct LedgerEntry {
     pub ts_unix: u64,
     /// Short git revision of the working tree (or `unknown`).
     pub git_rev: String,
-    /// What ran: a model name, `batch:<n>`, or `bench:hotpath`.
+    /// What ran: a model name, `batch:<n>`, or `calibrate`.
     pub label: String,
     /// Range-analysis engine used (`dense`, `worklist`, `parallel`, or
     /// `auto`).

@@ -19,9 +19,7 @@ pub const STAGE_NAMES: [&str; 12] = [
 /// a trace via [`StageTimings::from_trace`] / [`StageTimings::for_span`].
 ///
 /// Stages a path skips (e.g. everything from `dfg` on, for a cache hit)
-/// stay at zero. Stage spans are disjoint by construction, except that a
-/// driver job re-flattens an already-flat model inside graph
-/// construction; that re-flatten is real (tiny) work and is counted.
+/// stay at zero. Stage spans are disjoint by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Model acquisition: file read + `.slx`/`.mdl` parse, or running a

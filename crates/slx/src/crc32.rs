@@ -9,15 +9,12 @@
 /// assert_eq!(frodo_slx::crc32::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut hasher = Crc32::new();
-    hasher.update(data);
-    hasher.finish()
-}
-
-/// Incremental CRC-32 hasher.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
+    let mut state = 0xFFFF_FFFFu32;
+    for &b in data {
+        let idx = ((state ^ b as u32) & 0xFF) as usize;
+        state = TABLE[idx] ^ (state >> 8);
+    }
+    state ^ 0xFFFF_FFFF
 }
 
 const fn build_table() -> [u32; 256] {
@@ -42,32 +39,6 @@ const fn build_table() -> [u32; 256] {
 
 static TABLE: [u32; 256] = build_table();
 
-impl Crc32 {
-    /// Starts a new hash.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds bytes into the hash.
-    pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = TABLE[idx] ^ (self.state >> 8);
-        }
-    }
-
-    /// Finishes and returns the CRC value.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,15 +52,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn incremental_equals_oneshot() {
-        let data = b"hello crc32 world";
-        let mut h = Crc32::new();
-        h.update(&data[..5]);
-        h.update(&data[5..]);
-        assert_eq!(h.finish(), crc32(data));
     }
 
     #[test]

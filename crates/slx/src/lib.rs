@@ -7,8 +7,6 @@
 //! stack from scratch — no external compression or XML crates:
 //!
 //! - [`crc32`] — CRC-32 (IEEE 802.3), as ZIP requires;
-//! - [`fnv`] — FNV-1a 64 and the combined content digest the compilation
-//!   driver uses for content-addressed artifact caching;
 //! - [`inflate`] — a raw-DEFLATE (RFC 1951) decompressor (stored, fixed-
 //!   and dynamic-Huffman blocks) plus a fixed-Huffman compressor;
 //! - [`zip`] — ZIP archive reader/writer (methods *stored* and *deflate*);
@@ -46,7 +44,6 @@
 
 pub mod crc32;
 mod error;
-pub mod fnv;
 pub mod inflate;
 pub mod mdl;
 mod params;
@@ -55,9 +52,5 @@ pub mod xml;
 pub mod zip;
 
 pub use error::FormatError;
-#[allow(deprecated)]
-pub use mdl::read_mdl_traced;
 pub use mdl::{read_mdl, write_mdl};
-#[allow(deprecated)]
-pub use slx::read_slx_traced;
 pub use slx::{read_slx, write_slx};

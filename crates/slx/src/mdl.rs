@@ -272,18 +272,6 @@ pub fn read_mdl(text: &str, trace: &frodo_obs::Trace) -> Result<Model, FormatErr
     system_to_model(name, system)
 }
 
-/// Deprecated alias of [`read_mdl`], kept one release for callers of the
-/// old split traced/untraced entry points.
-///
-/// # Errors
-///
-/// Returns [`FormatError::Mdl`] for syntax problems and
-/// [`FormatError::Schema`] for semantic ones.
-#[deprecated(since = "0.7.0", note = "use `read_mdl(text, trace)` instead")]
-pub fn read_mdl_traced(text: &str, trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
-    read_mdl(text, trace)
-}
-
 fn system_to_model(name: &str, system: &Section) -> Result<Model, FormatError> {
     let mut model = Model::new(name);
     let mut sid_of = Vec::new();

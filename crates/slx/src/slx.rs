@@ -74,18 +74,6 @@ pub fn read_slx(bytes: &[u8], trace: &frodo_obs::Trace) -> Result<Model, FormatE
     model_from_xml(&parsed)
 }
 
-/// Deprecated alias of [`read_slx`], kept one release for callers of the
-/// old split traced/untraced entry points.
-///
-/// # Errors
-///
-/// Propagates container ([`FormatError::Zip`]), decompression, XML, and
-/// schema errors.
-#[deprecated(since = "0.7.0", note = "use `read_slx(bytes, trace)` instead")]
-pub fn read_slx_traced(bytes: &[u8], trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
-    read_slx(bytes, trace)
-}
-
 fn content_types() -> Element {
     let mut root = Element::new("Types").with_attr(
         "xmlns",
@@ -373,18 +361,6 @@ mod tests {
         with_names.connect(a, 0, t, 0).unwrap();
 
         vec![figure1(), with_delay, with_names]
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_traced_shim_still_works() {
-        let m = figure1();
-        let bytes = write_slx(&m).unwrap();
-        let via_shim = read_slx_traced(&bytes, &frodo_obs::Trace::noop()).unwrap();
-        assert_eq!(
-            via_shim,
-            read_slx(&bytes, &frodo_obs::Trace::noop()).unwrap()
-        );
     }
 
     #[test]
