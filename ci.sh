@@ -73,6 +73,28 @@ for model in AudioProcess Decryption HighPass HT Kalman Back \
     done
 done
 
+# .slx path and thread-budget gate: every Table-1 model exported as a real
+# .slx file and compiled from it at the default budget, --threads 1 and
+# --threads 2 must give C byte-identical to the sequential compile of the
+# bundled model
+slx_dir="$(mktemp -d)"
+for model in AudioProcess Decryption HighPass HT Kalman Back \
+    Maintenance Maunfacture RunningDiff Simpson; do
+    ./target/release/frodo demo "$model" "$slx_dir/m.slx" >/dev/null
+    ./target/release/frodo compile --threads 1 "$model" \
+        -o "$slx_dir/ref.c" 2>/dev/null
+    ./target/release/frodo compile --no-cache "$slx_dir/m.slx" \
+        -o "$slx_dir/auto.c" 2>/dev/null
+    for threads in 1 2; do
+        ./target/release/frodo compile --no-cache --threads "$threads" \
+            "$slx_dir/m.slx" -o "$slx_dir/t$threads.c" 2>/dev/null
+    done
+    for out in auto t1 t2; do
+        cmp "$slx_dir/ref.c" "$slx_dir/$out.c"
+    done
+done
+rm -rf "$slx_dir"
+
 # dataflow-analysis gate: the injected-defect selftest must catch every
 # planted bug, and every benchmark under every engine and vector mode —
 # including the window-reuse ring-buffer lowering — must come out with

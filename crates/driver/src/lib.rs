@@ -102,10 +102,12 @@ pub struct KeyedOptions {
 /// [`cache_key`] takes [`KeyedOptions`] and cannot see these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Intra-model thread budget for analysis and emission; `0` means one
-    /// per available core. `1` keeps every stage on the calling thread.
-    /// The parallel stages are byte-identical to the sequential ones for
-    /// every thread count.
+    /// Intra-model thread budget for analysis and emission. `0` (auto)
+    /// and `1` keep every stage on the calling thread with the requested
+    /// range engine; `N > 1` runs the parallel range engine, I/O-mapping
+    /// derivation and emitter on `N` threads. The parallel stages are
+    /// byte-identical to the sequential ones for every thread count, but
+    /// on the Table-1 models they are slower, so auto stays sequential.
     pub intra_threads: usize,
     /// Runs the range-soundness checker (`frodo-verify`) on the lowered
     /// program before emission; a failed check fails the job closed with
@@ -151,16 +153,10 @@ impl CompileOptions {
         CompileOptionsBuilder::default()
     }
 
-    /// Resolves [`ExecOptions::intra_threads`]: `0` becomes one thread
-    /// per available core.
+    /// Resolves [`ExecOptions::intra_threads`]: `0` (auto) becomes one
+    /// thread, the sequential path.
     pub fn resolved_intra_threads(&self) -> usize {
-        if self.exec.intra_threads > 0 {
-            self.exec.intra_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        self.exec.intra_threads.max(1)
     }
 }
 
@@ -522,24 +518,6 @@ impl CompileService {
         let start = Instant::now();
         let batch_span = trace.span("batch");
         batch_span.count("jobs", specs.len() as u64);
-        // Jobs that left intra_threads on auto split the machine with the
-        // pool instead of each claiming every core: `workers` jobs run at
-        // once, so each gets `cores / workers` threads. Explicit budgets
-        // (including 1) pass through untouched.
-        let intra_auto = (std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            / workers)
-            .max(1);
-        let specs: Vec<JobSpec> = specs
-            .into_iter()
-            .map(|mut s| {
-                if s.options.exec.intra_threads == 0 {
-                    s.options.exec.intra_threads = intra_auto;
-                }
-                s
-            })
-            .collect();
         let bt = batch_span.trace();
         let specs = if trace.is_enabled() {
             specs.into_iter().map(|s| s.with_trace(&bt)).collect()

@@ -2,7 +2,7 @@
 
 use crate::{Block, BlockId, BlockKind, InPort, ModelError, OutPort};
 use frodo_ranges::Shape;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// A directed, port-accurate connection between two blocks.
@@ -23,11 +23,25 @@ pub struct Connection {
 /// See the [crate-level example](crate) for typical construction. Models are
 /// hierarchical via [`BlockKind::Subsystem`] and can be flattened with
 /// [`Model::flattened`].
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Model {
     name: String,
     blocks: Vec<Block>,
     connections: Vec<Connection>,
+    /// Every input port some connection feeds: the O(1) duplicate check
+    /// of [`Model::connect`]. A function of `connections`, so it never
+    /// makes two models unequal on its own.
+    fed: HashSet<InPort>,
+}
+
+impl fmt::Debug for Model {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Model")
+            .field("name", &self.name)
+            .field("blocks", &self.blocks)
+            .field("connections", &self.connections)
+            .finish()
+    }
 }
 
 impl Model {
@@ -35,8 +49,7 @@ impl Model {
     pub fn new(name: impl Into<String>) -> Self {
         Model {
             name: name.into(),
-            blocks: Vec::new(),
-            connections: Vec::new(),
+            ..Model::default()
         }
     }
 
@@ -87,7 +100,7 @@ impl Model {
                 available: dst_block.kind.num_inputs(),
             });
         }
-        if self.connections.iter().any(|c| c.to == to) {
+        if !self.fed.insert(to) {
             return Err(ModelError::DuplicateInput(to));
         }
         self.connections.push(Connection { from, to });
@@ -272,6 +285,7 @@ impl Model {
     }
 
     pub(crate) fn push_connection(&mut self, c: Connection) {
+        self.fed.insert(c.to);
         self.connections.push(c);
     }
 }

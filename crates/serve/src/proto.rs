@@ -75,7 +75,7 @@ pub const PROTO_VERSION: u64 = 4;
 /// Per-request compile options — the CLI surface, carried on the wire.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RequestOptions {
-    /// Intra-model thread budget (`threads`); `0` = auto.
+    /// Intra-model thread budget (`threads`); `0` = auto (one thread).
     pub threads: usize,
     /// Range-determination options (`engine`).
     pub range: RangeOptions,

@@ -1,6 +1,7 @@
 //! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), as used by ZIP.
 
-/// Computes the CRC-32 of a byte slice.
+/// Computes the CRC-32 of a byte slice, eight bytes per step
+/// (slice-by-8) with a bytewise tail.
 ///
 /// # Example
 ///
@@ -10,15 +11,29 @@
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
     let mut state = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((state ^ b as u32) & 0xFF) as usize;
-        state = TABLE[idx] ^ (state >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        state = TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state ^ 0xFFFF_FFFF
 }
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the bytewise table; `TABLES[k][i]` is the CRC state
+/// after byte `i` followed by `k` zero bytes.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -31,27 +46,59 @@ const fn build_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The one-table, one-byte-per-step CRC.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in data {
+            state = TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b"a"), 0xE8B7_BE43);
+            assert_eq!(
+                crc(b"The quick brown fox jumps over the lazy dog"),
+                0x414F_A339
+            );
+        }
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_at_every_length_and_offset() {
+        let bytes: Vec<u8> = (0..80u32).map(|i| (i * 167 + 13) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &bytes[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@ use crate::params::{decode, encode};
 use crate::xml::{parse as parse_xml, write as write_xml, Element};
 use crate::zip::{Archive, Method};
 use crate::FormatError;
-use frodo_model::{Block, BlockId, Model};
+use frodo_model::{Block, BlockId, BlockKind, Model};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Archive path of the block diagram.
 pub const BLOCKDIAGRAM_PATH: &str = "simulink/blockdiagram.xml";
@@ -54,27 +56,26 @@ pub fn write_slx(model: &Model) -> Result<Vec<u8>, FormatError> {
 /// Propagates container ([`FormatError::Zip`]), decompression, XML, and
 /// schema errors.
 pub fn read_slx(bytes: &[u8], trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
-    let text = {
-        let span = trace.span("unzip");
-        let ar = Archive::from_bytes(bytes)?;
-        let diagram = ar
-            .get(BLOCKDIAGRAM_PATH)
-            .ok_or_else(|| FormatError::Schema(format!("archive has no {BLOCKDIAGRAM_PATH}")))?;
-        span.count("slx_bytes", bytes.len() as u64);
-        span.count("inflated_bytes", diagram.len() as u64);
-        std::str::from_utf8(diagram)
-            .map_err(|_| FormatError::Schema("block diagram is not UTF-8".into()))?
-            .to_string()
-    };
+    // the parsed tree borrows from the archive's inflated diagram
+    let unzip = trace.span("unzip");
+    let ar = Archive::from_bytes(bytes)?;
+    let diagram = ar
+        .get(BLOCKDIAGRAM_PATH)
+        .ok_or_else(|| FormatError::Schema(format!("archive has no {BLOCKDIAGRAM_PATH}")))?;
+    unzip.count("slx_bytes", bytes.len() as u64);
+    unzip.count("inflated_bytes", diagram.len() as u64);
+    let text = std::str::from_utf8(diagram)
+        .map_err(|_| FormatError::Schema("block diagram is not UTF-8".into()))?;
+    unzip.end();
     let parsed = {
         let _x = trace.span("xml_parse");
-        parse_xml(&text)?
+        parse_xml(text)?
     };
     let _b = trace.span("build_model");
     model_from_xml(&parsed)
 }
 
-fn content_types() -> Element {
+fn content_types() -> Element<'static> {
     let mut root = Element::new("Types").with_attr(
         "xmlns",
         "http://schemas.openxmlformats.org/package/2006/content-types",
@@ -87,7 +88,7 @@ fn content_types() -> Element {
     root
 }
 
-fn core_properties(name: &str) -> Element {
+fn core_properties(name: &str) -> Element<'_> {
     let mut root = Element::new("coreProperties");
     let mut title = Element::new("title");
     title.push_text(name);
@@ -99,26 +100,26 @@ fn core_properties(name: &str) -> Element {
 }
 
 /// Converts a model to its `<Model>` element.
-pub fn model_to_xml(model: &Model) -> Element {
+pub fn model_to_xml(model: &Model) -> Element<'_> {
     let mut root = Element::new("Model").with_attr("Name", model.name());
     root.push(system_to_xml(model));
     root
 }
 
-fn system_to_xml(model: &Model) -> Element {
+fn system_to_xml(model: &Model) -> Element<'_> {
     let mut system = Element::new("System").with_attr("Name", model.name());
     for (id, block) in model.iter() {
         let enc = encode(&block.kind);
         let mut e = Element::new("Block")
             .with_attr("BlockType", enc.type_name)
-            .with_attr("Name", block.name.clone())
+            .with_attr("Name", block.name.as_str())
             .with_attr("SID", id.index().to_string());
         for (k, v) in &enc.params {
             let mut p = Element::new("P").with_attr("Name", *k);
             p.push_text(v.clone());
             e.push(p);
         }
-        if let Some(inner) = &enc.subsystem {
+        if let BlockKind::Subsystem(inner) = &block.kind {
             e.push(system_to_xml(inner));
         }
         system.push(e);
@@ -160,7 +161,8 @@ pub fn model_from_xml(root: &Element) -> Result<Model, FormatError> {
 
 fn system_from_xml(name: &str, system: &Element) -> Result<Model, FormatError> {
     let mut model = Model::new(name);
-    let mut sid_of = Vec::new(); // declared SID per insertion order
+    // SIDs must identify blocks: SID → insertion index, first block wins
+    let mut index_of = HashMap::new();
     for e in system.children_named("Block") {
         let type_name = e
             .attr("BlockType")
@@ -176,7 +178,7 @@ fn system_from_xml(name: &str, system: &Element) -> Result<Model, FormatError> {
         let get = |key: &str| -> Option<String> {
             e.children_named("P")
                 .find(|p| p.attr("Name") == Some(key))
-                .map(|p| p.text())
+                .map(|p| p.text().into_owned())
         };
         let subsystem = match e.child("System") {
             Some(inner) => {
@@ -186,19 +188,17 @@ fn system_from_xml(name: &str, system: &Element) -> Result<Model, FormatError> {
             None => None,
         };
         let kind = decode(type_name, &get, subsystem)?;
-        model.add(Block::new(block_name, kind));
-        sid_of.push(sid);
+        let id = model.add(Block::new(block_name, kind));
+        index_of.entry(sid).or_insert(id);
     }
-    // SIDs must identify blocks uniquely; map SID → insertion index
     let lookup = |sid: usize| -> Result<BlockId, FormatError> {
-        sid_of
-            .iter()
-            .position(|&s| s == sid)
-            .map(BlockId::from_index)
+        index_of
+            .get(&sid)
+            .copied()
             .ok_or_else(|| FormatError::Schema(format!("line references unknown SID {sid}")))
     };
     for line in system.children_named("Line") {
-        let get = |key: &str| -> Result<String, FormatError> {
+        let get = |key: &str| -> Result<Cow<'_, str>, FormatError> {
             line.children_named("P")
                 .find(|p| p.attr("Name") == Some(key))
                 .map(|p| p.text())
@@ -239,7 +239,7 @@ fn parse_endpoint(text: &str, dir: &str) -> Result<(usize, usize), FormatError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frodo_model::{BlockKind, SelectorMode, Tensor};
+    use frodo_model::{SelectorMode, Tensor};
     use frodo_ranges::Shape;
 
     fn figure1() -> Model {

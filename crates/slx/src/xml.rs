@@ -5,17 +5,22 @@
 //! five predefined entities plus numeric character references. No DTDs or
 //! namespaces (Simulink documents do not rely on them for the dataflow
 //! information FRODO extracts).
+//!
+//! A parsed tree borrows its names, attribute values and character data
+//! from the input text; only values that contain entity references are
+//! decoded into owned strings.
 
 use crate::FormatError;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A child of an element: nested element or character data.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Node {
+pub enum Node<'a> {
     /// A nested element.
-    Element(Element),
+    Element(Element<'a>),
     /// Decoded character data.
-    Text(String),
+    Text(Cow<'a, str>),
 }
 
 /// An XML element: name, attributes in document order, and children.
@@ -34,18 +39,18 @@ pub enum Node {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Element {
+pub struct Element<'a> {
     /// Tag name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
     /// Child nodes in document order.
-    pub children: Vec<Node>,
+    pub children: Vec<Node<'a>>,
 }
 
-impl Element {
+impl<'a> Element<'a> {
     /// Creates an element with no attributes or children.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'a, str>>) -> Self {
         Element {
             name: name.into(),
             attrs: Vec::new(),
@@ -54,13 +59,17 @@ impl Element {
     }
 
     /// Adds or replaces an attribute, returning `self` for chaining.
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(
+        mut self,
+        key: impl Into<Cow<'a, str>>,
+        value: impl Into<Cow<'a, str>>,
+    ) -> Self {
         self.set_attr(key, value);
         self
     }
 
     /// Adds or replaces an attribute.
-    pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<String>) {
+    pub fn set_attr(&mut self, key: impl Into<Cow<'a, str>>, value: impl Into<Cow<'a, str>>) {
         let key = key.into();
         let value = value.into();
         if let Some(a) = self.attrs.iter_mut().find(|(k, _)| *k == key) {
@@ -75,26 +84,26 @@ impl Element {
         self.attrs
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
     }
 
     /// Appends a child element.
-    pub fn push(&mut self, child: Element) {
+    pub fn push(&mut self, child: Element<'a>) {
         self.children.push(Node::Element(child));
     }
 
     /// Appends character data.
-    pub fn push_text(&mut self, text: impl Into<String>) {
+    pub fn push_text(&mut self, text: impl Into<Cow<'a, str>>) {
         self.children.push(Node::Text(text.into()));
     }
 
     /// First child element with the given name.
-    pub fn child(&self, name: &str) -> Option<&Element> {
+    pub fn child(&self, name: &str) -> Option<&Element<'a>> {
         self.elements().find(|e| e.name == name)
     }
 
     /// All child elements.
-    pub fn elements(&self) -> impl Iterator<Item = &Element> {
+    pub fn elements(&self) -> impl Iterator<Item = &Element<'a>> {
         self.children.iter().filter_map(|n| match n {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,
@@ -102,19 +111,28 @@ impl Element {
     }
 
     /// All child elements with a given name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
+    pub fn children_named<'s>(
+        &'s self,
+        name: &'s str,
+    ) -> impl Iterator<Item = &'s Element<'a>> + 's {
         self.elements().filter(move |e| e.name == name)
     }
 
-    /// Concatenated direct character data, whitespace-trimmed.
-    pub fn text(&self) -> String {
-        let mut out = String::new();
-        for n in &self.children {
-            if let Node::Text(t) = n {
-                out.push_str(t);
+    /// Concatenated direct character data, whitespace-trimmed. Borrowed
+    /// when the element has at most one text child.
+    pub fn text(&self) -> Cow<'_, str> {
+        let mut texts = self.children.iter().filter_map(|n| match n {
+            Node::Text(t) => Some(t.as_ref()),
+            Node::Element(_) => None,
+        });
+        match (texts.next(), texts.next()) {
+            (None, _) => Cow::Borrowed(""),
+            (Some(only), None) => Cow::Borrowed(only.trim()),
+            (Some(first), Some(second)) => {
+                let all: String = [first, second].into_iter().chain(texts).collect();
+                Cow::Owned(all.trim().to_string())
             }
         }
-        out.trim().to_string()
     }
 }
 
@@ -179,15 +197,16 @@ fn write_element(e: &Element, depth: usize, out: &mut String) {
 // parser
 // ---------------------------------------------------------------------------
 
-/// Parses a document into its root element.
+/// Parses a document into its root element, borrowing from `input`.
 ///
 /// # Errors
 ///
 /// Returns [`FormatError::Xml`] with a byte offset for malformed input:
 /// mismatched tags, bad entities, attribute syntax errors, or trailing
 /// garbage after the root element.
-pub fn parse(input: &str) -> Result<Element, FormatError> {
+pub fn parse(input: &str) -> Result<Element<'_>, FormatError> {
     let mut p = Parser {
+        s: input,
         b: input.as_bytes(),
         pos: 0,
     };
@@ -200,7 +219,10 @@ pub fn parse(input: &str) -> Result<Element, FormatError> {
     Ok(root)
 }
 
+/// Every position the parser slices `s` at follows an ASCII delimiter or
+/// stops before a non-name byte, so each slice lies on `char` boundaries.
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -244,14 +266,23 @@ impl<'a> Parser<'a> {
     }
 
     fn find(&self, needle: &str) -> Result<usize, FormatError> {
-        let hay = &self.b[self.pos..];
-        hay.windows(needle.len())
-            .position(|w| w == needle.as_bytes())
+        self.s[self.pos..]
+            .find(needle)
             .map(|i| self.pos + i)
             .ok_or_else(|| self.err(format!("unterminated '{needle}' construct")))
     }
 
-    fn parse_name(&mut self) -> Result<String, FormatError> {
+    /// The bytes up to the next `stop` (or the end of input).
+    fn take_until(&mut self, stop: u8) -> &'a str {
+        let start = self.pos;
+        self.pos = self.b[start..]
+            .iter()
+            .position(|&c| c == stop)
+            .map_or(self.b.len(), |i| start + i);
+        &self.s[start..self.pos]
+    }
+
+    fn parse_name(&mut self) -> Result<&'a str, FormatError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') {
@@ -263,7 +294,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.b[start..self.pos]).into_owned())
+        Ok(&self.s[start..self.pos])
     }
 
     fn expect(&mut self, c: u8) -> Result<(), FormatError> {
@@ -275,7 +306,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<Element, FormatError> {
+    fn parse_element(&mut self) -> Result<Element<'a>, FormatError> {
         self.expect(b'<')?;
         let name = self.parse_name()?;
         let mut element = Element::new(name);
@@ -301,16 +332,13 @@ impl<'a> Parser<'a> {
                         return Err(self.err("attribute value must be quoted"));
                     }
                     self.pos += 1;
-                    let start = self.pos;
-                    while self.peek() != Some(quote) {
-                        if self.peek().is_none() {
-                            return Err(self.err("unterminated attribute value"));
-                        }
-                        self.pos += 1;
+                    let raw = self.take_until(quote);
+                    if self.peek().is_none() {
+                        return Err(self.err("unterminated attribute value"));
                     }
-                    let raw = String::from_utf8_lossy(&self.b[start..self.pos]).into_owned();
                     self.pos += 1;
-                    element.attrs.push((key, self.decode_entities(&raw)?));
+                    let value = self.decode_entities(raw)?;
+                    element.attrs.push((Cow::Borrowed(key), value));
                 }
                 None => return Err(self.err("truncated start tag")),
             }
@@ -323,10 +351,9 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<![CDATA[") {
                 self.pos += 9;
                 let end = self.find("]]>")?;
-                let raw = String::from_utf8_lossy(&self.b[self.pos..end]).into_owned();
                 // CDATA is literal: no entity decoding
-                if !raw.is_empty() {
-                    element.push_text(raw);
+                if end > self.pos {
+                    element.push_text(&self.s[self.pos..end]);
                 }
                 self.pos = end + 3;
             } else if self.starts_with("</") {
@@ -347,22 +374,18 @@ impl<'a> Parser<'a> {
             } else if self.peek().is_none() {
                 return Err(self.err(format!("unclosed element <{}>", element.name)));
             } else {
-                let start = self.pos;
-                while !matches!(self.peek(), Some(b'<') | None) {
-                    self.pos += 1;
-                }
-                let raw = String::from_utf8_lossy(&self.b[start..self.pos]).into_owned();
-                let text = self.decode_entities(&raw)?;
-                if !text.trim().is_empty() {
+                let raw = self.take_until(b'<');
+                if !raw.trim().is_empty() {
+                    let text = self.decode_entities(raw)?;
                     element.push_text(text);
                 }
             }
         }
     }
 
-    fn decode_entities(&self, raw: &str) -> Result<String, FormatError> {
+    fn decode_entities(&self, raw: &'a str) -> Result<Cow<'a, str>, FormatError> {
         if !raw.contains('&') {
-            return Ok(raw.to_string());
+            return Ok(Cow::Borrowed(raw));
         }
         let mut out = String::with_capacity(raw.len());
         let mut rest = raw;
@@ -401,7 +424,7 @@ impl<'a> Parser<'a> {
             rest = &rest[semi + 1..];
         }
         out.push_str(rest);
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 }
 
@@ -498,6 +521,20 @@ mod tests {
         e.set_attr("k", "2");
         assert_eq!(e.attr("k"), Some("2"));
         assert_eq!(e.attrs.len(), 1);
+    }
+
+    #[test]
+    fn parsed_tree_borrows_from_the_input() {
+        let doc = parse(r#"<A k="v" e="a&amp;b"> <B>text</B> </A>"#).unwrap();
+        assert!(matches!(doc.name, Cow::Borrowed("A")));
+        assert!(matches!(doc.attrs[0].1, Cow::Borrowed("v")));
+        assert!(matches!(&doc.attrs[1].1, Cow::Owned(v) if v == "a&b"));
+        // whitespace-only runs between elements are not stored
+        assert_eq!(doc.children.len(), 1);
+        assert!(matches!(
+            doc.child("B").unwrap().text(),
+            Cow::Borrowed("text")
+        ));
     }
 
     #[test]

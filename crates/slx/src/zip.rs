@@ -169,10 +169,14 @@ impl Archive {
     /// [`FormatError::Deflate`] for bad streams, and
     /// [`FormatError::CrcMismatch`] when a checksum fails.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        // find EOCD by scanning backwards (comments make it float)
-        let eocd = (0..=bytes.len().saturating_sub(22))
-            .rev()
-            .find(|&i| rd_u32(bytes, i).map(|s| s == EOCD_SIG).unwrap_or(false))
+        // find EOCD by scanning backwards (comments make it float): its 22
+        // bytes plus a comment of at most 65535 end the archive
+        let floor = bytes.len().saturating_sub(22 + 0xFFFF);
+        let sig = EOCD_SIG.to_le_bytes();
+        let eocd = bytes[floor..bytes.len().saturating_sub(18).max(floor)]
+            .windows(4)
+            .rposition(|w| w == sig)
+            .map(|i| floor + i)
             .ok_or_else(|| FormatError::Zip("missing end-of-central-directory".into()))?;
         let count = rd_u16(bytes, eocd + 10)? as usize;
         let cd_offset = rd_u32(bytes, eocd + 16)? as usize;
@@ -211,7 +215,7 @@ impl Archive {
 
             let data = match method_id {
                 0 => payload.to_vec(),
-                8 => inflate(payload)?,
+                8 => inflate(payload, raw_len)?,
                 m => return Err(FormatError::Zip(format!("unsupported method {m}"))),
             };
             if data.len() != raw_len {
@@ -310,6 +314,24 @@ mod tests {
         let n = bad.len();
         bad[n - 6] = 0xFF; // cd_offset low byte scrambled
         assert!(Archive::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn entry_inflating_past_its_declared_size_is_rejected() {
+        let mut ar = Archive::new();
+        ar.add("f", vec![b'x'; 64], Method::Deflate);
+        let mut bytes = ar.to_bytes();
+        // declare 16 bytes in the central record (raw size at +24)
+        let sig = CENTRAL_SIG.to_le_bytes();
+        let pos = bytes
+            .windows(4)
+            .position(|w| w == sig)
+            .expect("central record present");
+        bytes[pos + 24..pos + 28].copy_from_slice(&16u32.to_le_bytes());
+        match Archive::from_bytes(&bytes) {
+            Err(FormatError::Deflate(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("expected an oversize-stream error, got {other:?}"),
+        }
     }
 
     #[test]

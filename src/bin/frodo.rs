@@ -128,7 +128,12 @@ fn print_usage() {
          nanoseconds, and FLOP tallies, dumped as obs-schema NDJSON by the\n\
          generated frodo_prof_dump() (the harness dumps to stderr on exit);\n\
          frodo calibrate joins such measurements against the cost model and\n\
-         gates per-kind drift with --check CALIBRATION_BANDS.ndjson."
+         gates per-kind drift with --check CALIBRATION_BANDS.ndjson.\n\
+         --threads N (compile/batch/client) runs the parallel range engine,\n\
+         I/O-mapping derivation and emitter on N > 1 threads; absent, 0 or 1\n\
+         keeps every stage sequential on the --engine given (recursive if\n\
+         none), since the threaded stages lose to one thread on the bundled\n\
+         models. The emitted C is the same for every N."
     );
 }
 
@@ -629,8 +634,8 @@ fn job_spec_for(model_ref: &str, style: GeneratorStyle) -> Result<JobSpec, Strin
     }
 }
 
-/// Parses `--threads N` (`0` or absent means auto: one per available core,
-/// split across batch workers).
+/// Parses `--threads N` (`0` or absent means auto, which the driver
+/// resolves to one thread).
 fn intra_threads(args: &[String]) -> Result<usize, String> {
     flag_value(args, &["--threads", "-t"])
         .map(|s| s.parse().map_err(|_| "bad --threads".to_string()))
@@ -638,10 +643,10 @@ fn intra_threads(args: &[String]) -> Result<usize, String> {
         .map(|v| v.unwrap_or(0))
 }
 
-/// Parses `--engine` into range options. The explicit engine is respected
-/// as long as the resolved intra-model thread budget stays at one; with
-/// more threads the driver swaps in the parallel engine (byte-identical
-/// results either way).
+/// Parses `--engine` into range options. The engine runs as given unless
+/// an explicit `--threads N > 1` asks for more threads, in which case the
+/// driver swaps in the parallel engine (byte-identical results either
+/// way).
 fn range_options(args: &[String]) -> Result<RangeOptions, String> {
     let engine = match flag_value(args, &["--engine"]) {
         None | Some("recursive") => RangeEngine::Recursive,
@@ -782,8 +787,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 }
 
 /// The engine label a run is recorded under in the perf ledger, from its
-/// `--threads` request (the driver swaps in the parallel engine when the
-/// resolved budget exceeds one thread).
+/// `--threads` request (auto resolves to one thread; the driver swaps in
+/// the parallel engine when the budget exceeds one thread).
 fn engine_label(intra_threads: usize) -> &'static str {
     match intra_threads {
         0 => "auto",

@@ -82,3 +82,31 @@ fn generated_code_is_stable_across_container_roundtrip() {
         assert_eq!(a, b, "style {style}");
     }
 }
+
+#[test]
+fn corrupted_slx_files_fail_cleanly_or_read_back_identically() {
+    // every prefix truncation and every single-byte flip of every Table-1
+    // `.slx`: an error, or exactly the original model — never a panic
+    let benches = frodo::benchmodels::all();
+    std::thread::scope(|s| {
+        for bench in &benches {
+            s.spawn(move || {
+                let bytes = write_slx(&bench.model).unwrap();
+                let noop = frodo_obs::Trace::noop();
+                for cut in 0..bytes.len() {
+                    if let Ok(m) = read_slx(&bytes[..cut], &noop) {
+                        assert_eq!(m, bench.model, "{}: prefix of {cut} bytes", bench.name);
+                    }
+                }
+                let mut flipped = bytes.clone();
+                for at in 0..bytes.len() {
+                    flipped[at] ^= 0xFF;
+                    if let Ok(m) = read_slx(&flipped, &noop) {
+                        assert_eq!(m, bench.model, "{}: byte {at} flipped", bench.name);
+                    }
+                    flipped[at] ^= 0xFF;
+                }
+            });
+        }
+    });
+}

@@ -125,3 +125,37 @@ fn compile_service_output_is_invariant_under_intra_threads() {
         assert_eq!(outputs[0].report.digest, outputs[1].report.digest);
     }
 }
+
+#[test]
+fn default_budget_runs_the_requested_engine_on_one_thread() {
+    // auto (`intra_threads: 0`) resolves to one thread on every host, so
+    // default compiles and sessions run the requested engine with
+    // sequential I/O-mapping derivation and emission
+    let service = CompileService::new(ServiceConfig {
+        no_cache: true,
+        ..Default::default()
+    });
+    for bench in frodo::benchmodels::all() {
+        let mut traces = Vec::new();
+        for engine in [RangeEngine::Recursive, RangeEngine::Iterative] {
+            let trace = frodo_obs::Trace::new();
+            let options = CompileOptions::builder().engine(engine).build();
+            let spec = JobSpec::from_model(bench.name, bench.model.clone(), GeneratorStyle::Frodo)
+                .with_options(options)
+                .with_trace(&trace);
+            service.compile(spec).unwrap();
+            traces.push(trace);
+        }
+        let trace = frodo_obs::Trace::new();
+        let mut session = frodo::driver::CompileSession::builder(GeneratorStyle::Frodo).build();
+        session
+            .compile(bench.name, bench.model.clone(), &trace)
+            .unwrap();
+        traces.push(trace);
+        for t in &traces {
+            assert_eq!(t.counter_total("iomap_threads"), 1, "{}", bench.name);
+            assert_eq!(t.counter_total("emit_threads"), 1, "{}", bench.name);
+            assert_eq!(t.counter_total("analysis_levels"), 0, "{}", bench.name);
+        }
+    }
+}
