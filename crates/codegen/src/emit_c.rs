@@ -6,10 +6,11 @@
 //! matches the paper's measurement protocol (repeat the step function and
 //! average).
 
-use crate::library;
+use crate::library::{self, CodeTemplate};
 use crate::lir::{BinOp, BufId, BufferRole, ConvStyle, Program, ReduceOp, Slice, Src, Stmt, UnOp};
 use crate::GeneratorStyle;
 use std::fmt::Write;
+use std::ops::Range;
 
 /// How aggressively the emitter shapes loops for SIMD execution
 /// (`--vectorize off|hints|batch[:W]` on the CLI).
@@ -297,6 +298,43 @@ static void frodo_conv_range(const double *u, int ulen, const double *v,\n\
     }\n\
 }\n";
 
+/// Inline stand-ins for libm `fmax`/`fmin`, which gcc otherwise emits as
+/// out-of-line calls. A NaN operand yields the other operand and a ±0 tie
+/// yields `b`, bitwise as glibc's x86-64 `fmax`/`fmin` do.
+const FMAX_HELPER: &str =
+    "static inline double frodo_fmax(double a, double b) { return (a > b || b != b) ? a : b; }\n";
+const FMIN_HELPER: &str =
+    "static inline double frodo_fmin(double a, double b) { return (a < b || b != b) ? a : b; }\n";
+
+/// Which of the min/max helpers the program's statements call, as
+/// `(min, max)`.
+fn min_max_use(stmts: &[Stmt]) -> (bool, bool) {
+    let sat = |op: &UnOp| matches!(op, UnOp::Sat(..));
+    stmts.iter().fold((false, false), |(min, max), s| match s {
+        Stmt::Unary { op, .. } if sat(op) => (true, true),
+        Stmt::FusedUnary { ops, .. } if ops.iter().any(sat) => (true, true),
+        Stmt::Binary { op: BinOp::Min, .. }
+        | Stmt::Reduce {
+            op: ReduceOp::Min, ..
+        } => (true, max),
+        Stmt::Binary { op: BinOp::Max, .. }
+        | Stmt::Reduce {
+            op: ReduceOp::Max, ..
+        } => (min, true),
+        _ => (min, max),
+    })
+}
+
+/// Splits the output run `[k0, k1)` of a window kernel at its `interior`,
+/// the outputs whose window lies wholly inside the operands: returns the
+/// head, interior and tail sub-runs, consecutive, each possibly empty, and
+/// together covering `[k0, k1)` exactly once.
+fn split_run(k0: usize, k1: usize, interior: Range<usize>) -> [Range<usize>; 3] {
+    let a = interior.start.clamp(k0, k1);
+    let b = interior.end.clamp(a, k1);
+    [k0..a, a..b, b..k1]
+}
+
 impl<'a> Emitter<'a> {
     fn new_with(p: &'a Program, opts: CEmitOptions) -> Self {
         Emitter {
@@ -408,6 +446,17 @@ impl<'a> Emitter<'a> {
                     );
                 }
             }
+        }
+
+        let (min, max) = min_max_use(&p.stmts);
+        if min || max {
+            head.push('\n');
+        }
+        if max {
+            head.push_str(FMAX_HELPER);
+        }
+        if min {
+            head.push_str(FMIN_HELPER);
         }
 
         if self.uses_conv_helper() {
@@ -545,6 +594,33 @@ impl<'a> Emitter<'a> {
                 self.line("#pragma GCC ivdep");
             }
             self.emit_loop(len, body);
+        }
+    }
+
+    /// Renders a window kernel's output run: under FRODO, split by
+    /// [`split_run`] into a clamped head, a constant-bound interior and a
+    /// clamped tail; in the other styles, or when no output of the run is
+    /// interior, one clamped run. `subs` starts with the `k0` and `k1`
+    /// entries, which are set per sub-run.
+    fn window_run(
+        &mut self,
+        run: Range<usize>,
+        interior: Range<usize>,
+        (clamped, inner): (&CodeTemplate, &CodeTemplate),
+        subs: &mut [(&str, String)],
+    ) {
+        let pieces = split_run(run.start, run.end, interior);
+        let split = self.p.style == GeneratorStyle::Frodo && !pieces[1].is_empty();
+        let runs = if split { &pieces[..] } else { &[run][..] };
+        for (i, r) in runs.iter().enumerate() {
+            if r.is_empty() {
+                continue;
+            }
+            subs[0].1 = r.start.to_string();
+            subs[1].1 = r.end.to_string();
+            let template = if split && i == 1 { inner } else { clamped };
+            let code = template.render(subs).expect("window template complete");
+            self.block_text(&code);
         }
     }
 
@@ -799,12 +875,12 @@ impl<'a> Emitter<'a> {
                     ),
                     ReduceOp::Min => (
                         format!("{sb}[{off}]"),
-                        format!("acc = fmin(acc, {sb}[{off} + i]);"),
+                        format!("acc = frodo_fmin(acc, {sb}[{off} + i]);"),
                         String::new(),
                     ),
                     ReduceOp::Max => (
                         format!("{sb}[{off}]"),
-                        format!("acc = fmax(acc, {sb}[{off} + i]);"),
+                        format!("acc = frodo_fmax(acc, {sb}[{off} + i]);"),
                         String::new(),
                     ),
                 };
@@ -854,7 +930,7 @@ impl<'a> Emitter<'a> {
                     self.line(&call);
                     return;
                 }
-                let subs = [
+                let mut subs = [
                     ("k0", k0.to_string()),
                     ("k1", k1.to_string()),
                     ("k", k0.to_string()),
@@ -873,7 +949,14 @@ impl<'a> Emitter<'a> {
                         &subs,
                     ),
                     (ConvStyle::Tight, None) if k1 - k0 == 1 => library::CONV_SINGLE.render(&subs),
-                    (ConvStyle::Tight, None) => library::CONV_RUN.render(&subs),
+                    (ConvStyle::Tight, None) => {
+                        return self.window_run(
+                            k0..k1,
+                            v_len - 1..u_len,
+                            (&library::CONV_RUN, &library::CONV_RUN_INTERIOR),
+                            &mut subs,
+                        )
+                    }
                     (ConvStyle::Branchy, _) => library::CONV_BRANCHY.render(&subs),
                 }
                 .expect("conv template complete");
@@ -887,17 +970,19 @@ impl<'a> Emitter<'a> {
                 k0,
                 k1,
             } => {
-                let code = library::FIR_RUN
-                    .render(&[
-                        ("k0", k0.to_string()),
-                        ("k1", k1.to_string()),
+                self.window_run(
+                    k0..k1,
+                    taps.saturating_sub(1)..k1,
+                    (&library::FIR_RUN, &library::FIR_RUN_INTERIOR),
+                    &mut [
+                        ("k0", String::new()),
+                        ("k1", String::new()),
                         ("Taps", taps.to_string()),
                         ("Coeffs", self.buf_expr(coeffs)),
                         ("Input", self.buf_expr(src)),
                         ("Output", self.buf_expr(dst)),
-                    ])
-                    .expect("fir template complete");
-                self.block_text(&code);
+                    ],
+                );
             }
             &Stmt::MovingAvg {
                 dst,
@@ -906,16 +991,18 @@ impl<'a> Emitter<'a> {
                 k0,
                 k1,
             } => {
-                let code = library::MOVAVG_RUN
-                    .render(&[
-                        ("k0", k0.to_string()),
-                        ("k1", k1.to_string()),
+                self.window_run(
+                    k0..k1,
+                    window.saturating_sub(1)..k1,
+                    (&library::MOVAVG_RUN, &library::MOVAVG_RUN_INTERIOR),
+                    &mut [
+                        ("k0", String::new()),
+                        ("k1", String::new()),
                         ("Window", window.to_string()),
                         ("Input", self.buf_expr(src)),
                         ("Output", self.buf_expr(dst)),
-                    ])
-                    .expect("movavg template complete");
-                self.block_text(&code);
+                    ],
+                );
             }
             &Stmt::CumSum { dst, src, k_end } => {
                 let code = library::CUMSUM_RUN
@@ -1042,7 +1129,7 @@ fn unop_expr(op: UnOp, x: &str) -> String {
         UnOp::Tanh => format!("tanh({x})"),
         UnOp::Neg => format!("-({x})"),
         UnOp::Recip => format!("1.0 / ({x})"),
-        UnOp::Sat(lo, hi) => format!("fmin(fmax({x}, {lo:?}), {hi:?})"),
+        UnOp::Sat(lo, hi) => format!("frodo_fmin(frodo_fmax({x}, {lo:?}), {hi:?})"),
         UnOp::Floor => format!("floor({x})"),
         UnOp::Ceil => format!("ceil({x})"),
         UnOp::Round => format!("round({x})"),
@@ -1058,8 +1145,8 @@ fn binop_expr(op: BinOp, a: &str, b: &str) -> String {
         BinOp::Sub => format!("{a} - {b}"),
         BinOp::Mul => format!("{a} * {b}"),
         BinOp::Div => format!("{a} / {b}"),
-        BinOp::Min => format!("fmin({a}, {b})"),
-        BinOp::Max => format!("fmax({a}, {b})"),
+        BinOp::Min => format!("frodo_fmin({a}, {b})"),
+        BinOp::Max => format!("frodo_fmax({a}, {b})"),
         BinOp::Mod => format!("fmod({a}, {b})"),
         BinOp::Lt => format!("({a} < {b}) ? 1.0 : 0.0"),
         BinOp::Le => format!("({a} <= {b}) ? 1.0 : 0.0"),
@@ -1116,7 +1203,15 @@ mod tests {
         let p = generate(&figure1(), GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
         let c = emit_c(&p);
         assert!(c.contains("void conv_step(const double *in0, double *out0)"));
-        assert!(c.contains("for (int k = 5; k < 55; ++k)"));
+        // the run [5, 55) of a 50 x 11 convolution: a clamped head, an
+        // interior with constant inner bounds, and a clamped tail
+        let head = c.find("for (int k = 5; k < 10; ++k)").expect("head");
+        let interior = c.find("for (int k = 10; k < 50; ++k)").expect("interior");
+        let tail = c.find("for (int k = 50; k < 55; ++k)").expect("tail");
+        assert!(head < interior && interior < tail);
+        assert!(c[interior..tail].contains("for (int j = k - (11 - 1); j <= k; ++j)"));
+        assert!(!c[interior..tail].contains("int lo"));
+        assert_eq!(c.matches("int lo = k >= 11").count(), 2);
         assert!(!c.contains("if (k - j >= 0"));
     }
 
@@ -1291,8 +1386,9 @@ mod tests {
         );
         assert!(c.contains("static void frodo_conv_range"));
         assert!(c.contains("frodo_conv_range(in0, 50, g_k, 11, g_conv, 5, 55);"));
-        // the inline loop nest is gone
-        assert!(!c.contains("for (int k = 5; k < 55; ++k)"));
+        // the inline loop nests are gone
+        assert!(!c.contains("for (int k = 5;"));
+        assert!(!c.contains("for (int k = 10;"));
         // helper appears exactly once
         assert_eq!(c.matches("static void frodo_conv_range").count(), 1);
     }
@@ -1370,10 +1466,15 @@ mod tests {
 
     /// Emits one statement in a minimal two-buffer program.
     fn emit_single(stmt: Stmt) -> String {
+        emit_single_as(GeneratorStyle::DfSynth, stmt)
+    }
+
+    /// [`emit_single`] under the given generator style.
+    fn emit_single_as(style: GeneratorStyle, stmt: Stmt) -> String {
         use crate::lir::{Buffer, BufferRole};
         let p = Program {
             name: "single".into(),
-            style: GeneratorStyle::DfSynth,
+            style,
             buffers: vec![
                 Buffer {
                     name: "a".into(),
@@ -1394,6 +1495,216 @@ mod tests {
             stmts: vec![stmt],
         };
         emit_c(&p)
+    }
+
+    /// Asserts that `pieces` are consecutive and cover `[k0, k1)` exactly.
+    fn assert_covers(pieces: &[Range<usize>; 3], k0: usize, k1: usize) {
+        assert_eq!(pieces[0].start, k0, "{pieces:?}");
+        assert_eq!(pieces[0].end, pieces[1].start, "{pieces:?}");
+        assert_eq!(pieces[1].end, pieces[2].start, "{pieces:?}");
+        assert_eq!(pieces[2].end, k1, "{pieces:?}");
+        assert!(pieces.iter().all(|r| r.start <= r.end), "{pieces:?}");
+    }
+
+    #[test]
+    fn split_run_covers_the_run_once_in_order() {
+        // a 50 x 11 convolution: interior outputs are [10, 50), full is 60
+        let interior = 10..50;
+        let cases = [
+            ((2, 8), [2..8, 8..8, 8..8]),         // head only
+            ((12, 40), [12..12, 12..40, 40..40]), // interior only
+            ((52, 60), [52..52, 52..52, 52..60]), // tail only
+            ((5, 55), [5..10, 10..50, 50..55]),   // all three
+            ((20, 21), [20..20, 20..21, 21..21]), // one interior element
+            ((3, 4), [3..4, 4..4, 4..4]),         // one head element
+            ((0, 60), [0..10, 10..50, 50..60]),   // k0 = 0, k1 = u + v - 1
+            ((10, 50), [10..10, 10..50, 50..50]), // exactly the interior
+        ];
+        for ((k0, k1), want) in cases {
+            let got = split_run(k0, k1, interior.clone());
+            assert_covers(&got, k0, k1);
+            assert_eq!(got, want, "[{k0}, {k1})");
+        }
+        // a kernel longer than the input (u = 4, v = 11): the interior
+        // [10, 4) is empty, so no output is interior
+        for (k0, k1) in [(0, 14), (3, 12), (10, 11)] {
+            let got = split_run(k0, k1, 10..4);
+            assert_covers(&got, k0, k1);
+            assert!(got[1].is_empty(), "[{k0}, {k1}): {got:?}");
+        }
+        // every run of a small grid, against every interior
+        for (lo, hi) in [(0, 0), (0, 5), (2, 5), (3, 3), (5, 2), (7, 9)] {
+            for k0 in 0..10 {
+                for k1 in k0..10 {
+                    let got = split_run(k0, k1, lo..hi);
+                    assert_covers(&got, k0, k1);
+                    for k in got[1].clone() {
+                        assert!((lo..hi).contains(&k));
+                    }
+                    for k in got[0].clone().chain(got[2].clone()) {
+                        assert!(!(lo..hi).contains(&k));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frodo_splits_conv_runs_only_when_an_interior_exists() {
+        use crate::lir::{Buffer, BufferRole};
+        let conv = |style, u_len: usize, v_len: usize, k0, k1| {
+            let p = Program {
+                name: "c".into(),
+                style,
+                buffers: vec![
+                    Buffer {
+                        name: "u".into(),
+                        len: u_len,
+                        role: BufferRole::Input(0),
+                    },
+                    Buffer {
+                        name: "v".into(),
+                        len: v_len,
+                        role: BufferRole::Input(1),
+                    },
+                    Buffer {
+                        name: "y".into(),
+                        len: u_len + v_len - 1,
+                        role: BufferRole::Output(0),
+                    },
+                ],
+                stmts: vec![Stmt::Conv {
+                    dst: BufId(2),
+                    u: BufId(0),
+                    u_len,
+                    v: BufId(1),
+                    v_len,
+                    k0,
+                    k1,
+                    style: ConvStyle::Tight,
+                }],
+            };
+            emit_c(&p)
+        };
+        // kernel longer than the input: one clamped run, as in the baselines
+        let long = conv(GeneratorStyle::Frodo, 4, 11, 0, 14);
+        assert_eq!(
+            long,
+            conv(GeneratorStyle::DfSynth, 4, 11, 0, 14).replace("DFSynth", "Frodo")
+        );
+        assert!(long.contains("for (int k = 0; k < 14; ++k)"));
+        // head only: the clamped snippet alone
+        let head = conv(GeneratorStyle::Frodo, 50, 11, 2, 8);
+        assert!(head.contains("for (int k = 2; k < 8; ++k)"));
+        assert!(head.contains("int lo = k >= 11"));
+        // interior only: no clamp left
+        let inner = conv(GeneratorStyle::Frodo, 50, 11, 12, 40);
+        assert!(inner.contains("for (int k = 12; k < 40; ++k)"));
+        assert!(!inner.contains("int lo"));
+        // the baselines keep one clamped loop for the same run
+        let base = conv(GeneratorStyle::DfSynth, 50, 11, 0, 60);
+        assert_eq!(base.matches("for (int k = ").count(), 1);
+        assert_eq!(
+            conv(GeneratorStyle::Frodo, 50, 11, 0, 60)
+                .matches("for (int k = ")
+                .count(),
+            3
+        );
+    }
+
+    #[test]
+    fn frodo_splits_fir_and_moving_average_heads_from_interiors() {
+        use crate::lir::BufId;
+        let fir = Stmt::Fir {
+            dst: BufId(1),
+            src: BufId(0),
+            coeffs: BufId(2),
+            taps: 3,
+            k0: 0,
+            k1: 8,
+        };
+        let c = emit_single_as(GeneratorStyle::Frodo, fir.clone());
+        assert!(c.contains("for (int k = 0; k < 2; ++k)"));
+        assert!(c.contains("int tmax = k < 3 - 1 ? k : 3 - 1;"));
+        assert!(c.contains("for (int k = 2; k < 8; ++k)"));
+        assert!(c.contains("for (int t = 0; t < 3; ++t)"));
+        let base = emit_single_as(GeneratorStyle::SimulinkCoder, fir);
+        assert!(base.contains("for (int k = 0; k < 8; ++k)"));
+        assert!(!base.contains("t < 3;"));
+
+        let avg = Stmt::MovingAvg {
+            dst: BufId(1),
+            src: BufId(0),
+            window: 4,
+            k0: 1,
+            k1: 8,
+        };
+        let c = emit_single_as(GeneratorStyle::Frodo, avg.clone());
+        assert!(c.contains("for (int k = 1; k < 3; ++k)"));
+        assert!(c.contains("for (int k = 3; k < 8; ++k)"));
+        assert!(c.contains("for (int j = k - (4 - 1); j <= k; ++j)"));
+        assert_eq!(c.matches("int lo = ").count(), 1);
+        let base = emit_single_as(GeneratorStyle::Hcg, avg);
+        assert!(base.contains("for (int k = 1; k < 8; ++k)"));
+        // an all-head run is not split
+        let c = emit_single_as(
+            GeneratorStyle::Frodo,
+            Stmt::MovingAvg {
+                dst: BufId(1),
+                src: BufId(0),
+                window: 6,
+                k0: 0,
+                k1: 5,
+            },
+        );
+        assert_eq!(c.matches("for (int k = ").count(), 1);
+    }
+
+    #[test]
+    fn min_max_go_through_inline_helpers_defined_only_when_used() {
+        use crate::lir::{BufId, Slice, Src};
+        let libm_calls = |c: &str| {
+            c.replace("frodo_fmin", "")
+                .replace("frodo_fmax", "")
+                .contains("fm")
+        };
+        let binary = |op| Stmt::Binary {
+            op,
+            dst: Slice::new(BufId(1), 0),
+            a: Src::Run(Slice::new(BufId(0), 0)),
+            b: Src::Const(0.5),
+            len: 8,
+        };
+        let reduce = |op| Stmt::Reduce {
+            op,
+            dst: Slice::new(BufId(1), 0),
+            src: Slice::new(BufId(0), 0),
+            len: 8,
+        };
+        let sat = Stmt::FusedUnary {
+            ops: vec![UnOp::Gain(2.0), UnOp::Sat(-1.0, 1.0)],
+            dst: Slice::new(BufId(1), 0),
+            src: Src::Run(Slice::new(BufId(0), 0)),
+            len: 8,
+        };
+        let cases = [
+            (binary(BinOp::Max), false, true),
+            (binary(BinOp::Min), true, false),
+            (reduce(ReduceOp::Max), false, true),
+            (reduce(ReduceOp::Min), true, false),
+            (sat, true, true),
+            (binary(BinOp::Add), false, false),
+        ];
+        for style in GeneratorStyle::ALL {
+            for (stmt, min, max) in &cases {
+                let c = emit_single_as(style, stmt.clone());
+                assert!(!libm_calls(&c), "{style}: {c}");
+                assert_eq!(c.contains(FMIN_HELPER), *min, "{style}: {c}");
+                assert_eq!(c.contains(FMAX_HELPER), *max, "{style}: {c}");
+                assert_eq!(c.contains("frodo_fmin("), *min, "{style}: {c}");
+                assert_eq!(c.contains("frodo_fmax("), *max, "{style}: {c}");
+            }
+        }
     }
 
     #[test]

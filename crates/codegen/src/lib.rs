@@ -61,6 +61,14 @@ pub use emit_c::{
     emission_chunks, emit_c, emit_c_harness, emit_c_harness_with, emit_c_threaded, emit_c_traced,
     emit_c_with, CEmitOptions, VectorMode,
 };
+/// Generation of the emitted C text. The driver folds it into every
+/// artifact cache key, so a `--cache-dir` filled by an emitter that wrote
+/// different C is never replayed. Bump it whenever the C emitted for some
+/// input changes; `tests/emit_generation.rs` pins a fingerprint of the
+/// Table-1 outputs to the current value and fails until both move
+/// together.
+pub const EMIT_GENERATION: u32 = 1;
+
 pub use fragment::{generate_from_fragments, FragmentCache, FragmentStats};
 pub use lower::{generate, generate_with, LowerOptions};
 pub use style::GeneratorStyle;

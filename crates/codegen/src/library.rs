@@ -7,6 +7,14 @@
 //! `$Input2_size$`) with the block's actual parameters. The C emitter
 //! ([`crate::emit_c`]) renders every complex-block statement through these
 //! templates.
+//!
+//! The window kernels (convolution, FIR, moving average) come in two
+//! consecutive-elements forms. The clamped snippet (`CONV_RUN`, `FIR_RUN`,
+//! `MOVAVG_RUN`) bounds the inner window to the operands on every element;
+//! the `*_INTERIOR` snippet covers the elements whose window lies wholly
+//! inside the operands, with constant inner bounds and no clamp. FRODO
+//! splits each run into a clamped head, an interior and a clamped tail;
+//! both forms accumulate in the same order, so the split is bit-exact.
 
 use std::fmt;
 
@@ -66,21 +74,32 @@ impl CodeTemplate {
 /// [`CodeTemplate::render`] over template text built at run time (the
 /// width-parameterized snippets from [`conv_batched_template`]).
 ///
+/// One left-to-right scan: literal text is copied through and each
+/// `$key$` is replaced by the first substitution named `key`.
+///
 /// # Errors
 ///
-/// Returns [`RenderError`] if a placeholder remains unsubstituted.
+/// Returns [`RenderError`] naming the first placeholder (in template
+/// order) that has no substitution.
 pub fn render_text(text: &str, subs: &[(&str, String)]) -> Result<String, RenderError> {
-    let mut out = text.to_string();
-    for (key, value) in subs {
-        out = out.replace(&format!("${key}$"), value);
+    let mut out = String::with_capacity(text.len() + 64);
+    let mut rest = text;
+    while let Some(start) = rest.find('$') {
+        out.push_str(&rest[..start]);
+        let after = &rest[start + 1..];
+        let end = after.find('$').unwrap_or(after.len());
+        let key = &after[..end];
+        match subs.iter().find(|(k, _)| *k == key) {
+            Some((_, value)) if end < after.len() => out.push_str(value),
+            _ => {
+                return Err(RenderError {
+                    placeholder: key.to_string(),
+                })
+            }
+        }
+        rest = &after[end + 1..];
     }
-    if let Some(start) = out.find('$') {
-        let rest = &out[start + 1..];
-        let end = rest.find('$').unwrap_or(rest.len());
-        return Err(RenderError {
-            placeholder: rest[..end].to_string(),
-        });
-    }
+    out.push_str(rest);
     Ok(out)
 }
 
@@ -145,14 +164,32 @@ pub fn conv_batched_template(width: usize, tag: &str) -> String {
     t
 }
 
-/// Convolution, consecutive-elements snippet (paper Figure 4 ②):
-/// exact loop bounds, no per-element branching.
+/// Convolution, consecutive-elements snippet (paper Figure 4 ②): exact
+/// outer bounds, with the inner window clamped to the operands per
+/// element. FRODO renders it only for the head and tail of a run, where
+/// the window crosses an operand edge; [`CONV_RUN_INTERIOR`] covers the
+/// rest.
 pub const CONV_RUN: CodeTemplate = CodeTemplate::new(
     "for (int k = $k0$; k < $k1$; ++k) {\n\
      \x20   int lo = k >= $Input2_size$ ? k - ($Input2_size$ - 1) : 0;\n\
      \x20   int hi = k < $Input1_size$ - 1 ? k : $Input1_size$ - 1;\n\
      \x20   double acc = 0.0;\n\
      \x20   for (int j = lo; j <= hi; ++j) {\n\
+     \x20       acc += $Input1$[j] * $Input2$[k - j];\n\
+     \x20   }\n\
+     \x20   $Output$[k] = acc;\n\
+     }",
+);
+
+/// Convolution, interior consecutive-elements snippet: for `$k0$ ≥
+/// $Input2_size$ − 1` and `$k1$ ≤ $Input1_size$` the whole kernel overlaps
+/// the input, so the inner loop has a constant trip count and no clamp.
+/// It accumulates `j` in the same ascending order as [`CONV_RUN`], so both
+/// produce bit-identical results.
+pub const CONV_RUN_INTERIOR: CodeTemplate = CodeTemplate::new(
+    "for (int k = $k0$; k < $k1$; ++k) {\n\
+     \x20   double acc = 0.0;\n\
+     \x20   for (int j = k - ($Input2_size$ - 1); j <= k; ++j) {\n\
      \x20       acc += $Input1$[j] * $Input2$[k - j];\n\
      \x20   }\n\
      \x20   $Output$[k] = acc;\n\
@@ -245,7 +282,8 @@ pub const WINDOW_REUSE_RUN: CodeTemplate = CodeTemplate::new(
      }",
 );
 
-/// FIR filter, consecutive-elements snippet.
+/// FIR filter, consecutive-elements snippet, with the tap count clamped
+/// per element for the first `$Taps$ − 1` outputs.
 pub const FIR_RUN: CodeTemplate = CodeTemplate::new(
     "for (int k = $k0$; k < $k1$; ++k) {\n\
      \x20   int tmax = k < $Taps$ - 1 ? k : $Taps$ - 1;\n\
@@ -257,12 +295,37 @@ pub const FIR_RUN: CodeTemplate = CodeTemplate::new(
      }",
 );
 
-/// Trailing moving average, consecutive-elements snippet.
+/// FIR filter, interior snippet: for `$k0$ ≥ $Taps$ − 1` every output
+/// uses all taps, in the same order as [`FIR_RUN`].
+pub const FIR_RUN_INTERIOR: CodeTemplate = CodeTemplate::new(
+    "for (int k = $k0$; k < $k1$; ++k) {\n\
+     \x20   double acc = 0.0;\n\
+     \x20   for (int t = 0; t < $Taps$; ++t) {\n\
+     \x20       acc += $Coeffs$[t] * $Input$[k - t];\n\
+     \x20   }\n\
+     \x20   $Output$[k] = acc;\n\
+     }",
+);
+
+/// Trailing moving average, consecutive-elements snippet, with the window
+/// clamped at the input start per element.
 pub const MOVAVG_RUN: CodeTemplate = CodeTemplate::new(
     "for (int k = $k0$; k < $k1$; ++k) {\n\
      \x20   int lo = k >= $Window$ - 1 ? k - ($Window$ - 1) : 0;\n\
      \x20   double acc = 0.0;\n\
      \x20   for (int j = lo; j <= k; ++j) {\n\
+     \x20       acc += $Input$[j];\n\
+     \x20   }\n\
+     \x20   $Output$[k] = acc / (double)$Window$;\n\
+     }",
+);
+
+/// Trailing moving average, interior snippet: for `$k0$ ≥ $Window$ − 1`
+/// every window is full, summed in the same order as [`MOVAVG_RUN`].
+pub const MOVAVG_RUN_INTERIOR: CodeTemplate = CodeTemplate::new(
+    "for (int k = $k0$; k < $k1$; ++k) {\n\
+     \x20   double acc = 0.0;\n\
+     \x20   for (int j = k - ($Window$ - 1); j <= k; ++j) {\n\
      \x20       acc += $Input$[j];\n\
      \x20   }\n\
      \x20   $Output$[k] = acc / (double)$Window$;\n\
@@ -304,6 +367,109 @@ pub const DIFF_RUN: CodeTemplate = CodeTemplate::new(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The multi-pass renderer [`render_text`] replaced: one
+    /// `String::replace` per substitution, then a scan for leftovers.
+    fn render_text_oracle(text: &str, subs: &[(&str, String)]) -> Result<String, RenderError> {
+        let mut out = text.to_string();
+        for (key, value) in subs {
+            out = out.replace(&format!("${key}$"), value);
+        }
+        if let Some(start) = out.find('$') {
+            let rest = &out[start + 1..];
+            let end = rest.find('$').unwrap_or(rest.len());
+            return Err(RenderError {
+                placeholder: rest[..end].to_string(),
+            });
+        }
+        Ok(out)
+    }
+
+    const ALL_TEMPLATES: [CodeTemplate; 13] = [
+        CONV_RUN,
+        CONV_RUN_INTERIOR,
+        CONV_SINGLE,
+        CONV_BRANCHY,
+        CONV_RUN_HCG,
+        WINDOW_REUSE_RUN,
+        FIR_RUN,
+        FIR_RUN_INTERIOR,
+        MOVAVG_RUN,
+        MOVAVG_RUN_INTERIOR,
+        MATMUL_RUN,
+        CUMSUM_RUN,
+        DIFF_RUN,
+    ];
+
+    /// A value for every placeholder any library template uses.
+    fn all_subs() -> Vec<(&'static str, String)> {
+        [
+            ("k0", "5"),
+            ("k1", "55"),
+            ("k", "7"),
+            ("k_end", "40"),
+            ("r0", "1"),
+            ("r1", "3"),
+            ("N", "4"),
+            ("K", "6"),
+            ("A", "g_a"),
+            ("B", "g_b"),
+            ("Input", "in0"),
+            ("Input1", "in1"),
+            ("Input1_size", "50"),
+            ("Input2", "g_k"),
+            ("Input2_size", "11"),
+            ("Output", "out0"),
+            ("Window", "9"),
+            ("SrcLen", "50"),
+            ("State", "g_win"),
+            ("AccOut", "acc / 9.0"),
+            ("Taps", "5"),
+            ("Coeffs", "g_c"),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k, v.to_string()))
+        .collect()
+    }
+
+    #[test]
+    fn one_pass_renderer_matches_the_multi_pass_oracle() {
+        let texts: Vec<String> = ALL_TEMPLATES
+            .iter()
+            .map(|t| t.text().to_string())
+            .chain((2..=16).map(|w| conv_batched_template(w, "frodo")))
+            .collect();
+        let subs = all_subs();
+        for text in &texts {
+            let rendered = render_text(text, &subs);
+            assert_eq!(rendered, render_text_oracle(text, &subs), "{text}");
+            assert!(!rendered.unwrap().contains('$'));
+            // dropping any one substitution the text uses fails identically
+            for skip in 0..subs.len() {
+                let partial: Vec<(&str, String)> = subs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != skip)
+                    .map(|(_, s)| s.clone())
+                    .collect();
+                assert_eq!(
+                    render_text(text, &partial),
+                    render_text_oracle(text, &partial),
+                    "{text} without ${}$",
+                    subs[skip].0
+                );
+            }
+        }
+        // unterminated and empty placeholders report like the oracle
+        for text in ["a $k0", "a $$ b", "$", "x[$k$]$k"] {
+            let subs = [("k0", "1".to_string()), ("k", "2".to_string())];
+            assert_eq!(
+                render_text(text, &subs),
+                render_text_oracle(text, &subs),
+                "{text}"
+            );
+        }
+    }
 
     #[test]
     fn render_replaces_all_placeholders() {

@@ -206,8 +206,9 @@ pub enum WindowScale {
 /// How convolution loop boundaries are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvStyle {
-    /// Exact loop bounds computed in the loop header (`lo = max(0, k-m+1)`),
-    /// no per-element branching — what FRODO/DFSynth/HCG emit.
+    /// Inner window clamped to the operands in the loop header
+    /// (`lo = max(0, k-m+1)`), no boundary judgment in the body — what
+    /// FRODO/DFSynth/HCG emit (FRODO drops the clamp on a run's interior).
     Tight,
     /// Fixed full loops with a per-element *boundary judgment* inside — the
     /// paper observes Simulink Embedded Coder generates these for

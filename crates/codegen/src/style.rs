@@ -7,12 +7,15 @@ use std::fmt;
 ///
 /// The styles differ along the axes the paper's evaluation isolates:
 ///
-/// | Style | Calculation ranges | Convolution loops | Explicit SIMD |
-/// |-------|--------------------|-------------------|---------------|
-/// | `Frodo` | eliminated (Algorithm 1) | tight bounds | no (compiler auto-vec) |
-/// | `SimulinkCoder` | full | per-element boundary judgments | no, and conservative auto-vec |
-/// | `DfSynth` | full | tight bounds | no (compiler auto-vec) |
-/// | `Hcg` | full | tight bounds | yes (intrinsics hints) |
+/// | Style | Calculation ranges | Convolution loops | FIR / moving-average loops | Explicit SIMD |
+/// |-------|--------------------|-------------------|----------------------------|---------------|
+/// | `Frodo` | eliminated (Algorithm 1) | clamped head and tail, constant-bound interior | clamped head, constant-bound interior | no (compiler auto-vec) |
+/// | `SimulinkCoder` | full | per-element boundary judgments | clamped per element | no, and conservative auto-vec |
+/// | `DfSynth` | full | clamped per element | clamped per element | no (compiler auto-vec) |
+/// | `Hcg` | full | clamped per element | clamped per element | yes (intrinsics hints) |
+///
+/// Every style emits Min, Max and Saturation through the same inline
+/// `frodo_fmax`/`frodo_fmin` helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GeneratorStyle {
     /// This paper: redundancy elimination + concise code.

@@ -768,8 +768,9 @@ fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
 
 /// The cache key: an FNV-1a-128 fold of the flattened model — its name,
 /// every block (index, name, kind with parameters) and every connection,
-/// in list order — then the generator style and every keyed option except
-/// the range engine (the engines produce identical output).
+/// in list order — then the generator style, the emitter's
+/// [`EMIT_GENERATION`](frodo_codegen::EMIT_GENERATION) and every keyed
+/// option except the range engine (the engines produce identical output).
 /// Taking [`KeyedOptions`] (not [`CompileOptions`]) makes it impossible
 /// for an execution-only knob to split the cache.
 pub(crate) fn cache_key(
@@ -808,7 +809,9 @@ pub(crate) fn cache_key(
     field(&mut h, style.label());
     let _ = write!(
         h,
-        ";dead_ends={};coalesce={};shared_conv={};vectorize={:?};window_reuse={};profile={}",
+        ";emit_generation={};dead_ends={};coalesce={};shared_conv={};vectorize={:?};\
+         window_reuse={};profile={}",
+        frodo_codegen::EMIT_GENERATION,
         options.range.eliminate_dead_ends,
         options.lower.coalesce_gap,
         options.emit.shared_conv_helper,

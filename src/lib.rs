@@ -42,7 +42,10 @@
 //! let analysis = Analysis::run(m)?;
 //! let program = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
 //! let c_code = emit_c(&program);
-//! assert!(c_code.contains("for (int k = 5; k < 55; ++k)"));
+//! // the run [5, 55): a clamped head, a constant-bound interior, a clamped tail
+//! assert!(c_code.contains("for (int k = 5; k < 10; ++k)"));
+//! assert!(c_code.contains("for (int k = 10; k < 50; ++k)"));
+//! assert!(c_code.contains("for (int k = 50; k < 55; ++k)"));
 //! # Ok(())
 //! # }
 //! ```
